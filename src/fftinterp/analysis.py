@@ -135,9 +135,9 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpol
     points, where truncation (windowing) error concentrates.  Requires
     factor >= 2 so the refined grid actually contains off-sample points.
     """
-    if factor != int(factor) or int(factor) < 2:
+    m_factor = interpolate._check_factor(factor)
+    if m_factor < 2:
         raise ValueError(f"study factor must be an integer >= 2, got {factor!r}")
-    m_factor = int(factor)
     x = signals.generate(spec)
     n = spec.length
     positions = np.arange(m_factor * n) / m_factor

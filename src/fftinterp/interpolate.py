@@ -16,6 +16,8 @@ q = 0..N-1 (integers for odd N, half-integers for even N); in particular
 it does not preserve constants off-grid for even N.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +60,26 @@ class UpsampleRequest:
 
 
 def _check_factor(factor) -> int:
-    if factor != int(factor) or int(factor) < 1:
+    # bool is an Integral subtype, but True is a flag, not a factor of 1.
+    if isinstance(factor, bool) or not isinstance(factor, numbers.Real):
+        whole = False
+    elif isinstance(factor, numbers.Integral):
+        whole = True
+    else:
+        whole = math.isfinite(factor) and factor == int(factor)
+    if not whole or factor < 1:
         raise ValueError(f"upsampling factor must be an integer >= 1, got {factor!r}")
     return int(factor)
+
+
+def _half_turns(numerator, denominator: int) -> np.ndarray:
+    """exp(j*pi*numerator/denominator) for int64 numerators.
+
+    The numerator is reduced mod 2*denominator in exact integer arithmetic
+    first, so the argument of exp stays in [0, 2*pi) and its rounding error
+    does not grow with the numerator.
+    """
+    return np.exp(1j * np.pi * (numerator % (2 * denominator)) / denominator)
 
 
 def _as_sequence(x) -> Sequence:
@@ -145,18 +164,29 @@ def fft_upsample(x, factor) -> Sequence:
 
     in O(MN log MN) time.  The output keeps M*q-th samples equal to x[q]
     and carries sample period Ts/M.
+
+    Every phase goes through exact integer reduction: each numerator,
+    (N-1) times a sample index, is reduced in int64 before it reaches exp,
+    so the error stays at a few ulps for any N.  Writing m = M*q + r splits the
+    output rotation into an N-point table (the conjugate of the input
+    rotation) times an M-point table, so N + M exponentials are evaluated
+    instead of M*N.
     """
     seq = _as_sequence(x)
     m_factor = _check_factor(factor)
     n = len(seq)
     total = m_factor * n
-    rotate_in = np.exp(-1j * np.pi * (n - 1) * np.arange(n) / n)
-    time_side = idft(seq.samples * rotate_in)
-    refined_spectrum = dft(zero_pad(time_side, total))
-    rotate_out = np.exp(1j * np.pi * (n - 1) * np.arange(total) / total)
+    coarse = _half_turns((n - 1) * np.arange(n, dtype=np.int64), n)
     # The inverse(N)/forward(MN) pair under the 1/N-forward convention
-    # shrinks amplitudes by 1/M; undo it here.
-    refined = m_factor * refined_spectrum * rotate_out
+    # shrinks amplitudes by 1/M; the factor M in ``fine`` undoes it.
+    fine = m_factor * _half_turns((n - 1) * np.arange(m_factor, dtype=np.int64), total)
+    time_side = idft(seq.samples * coarse.conj())
+    refined = dft(time_side, total)
+    # Rotate in place, one table at a time, so the transform's output is the
+    # only complex M*N array the call allocates.
+    grid = refined.reshape(n, m_factor)
+    grid *= coarse[:, None]
+    grid *= fine
     return Sequence(refined, _refined_period(seq, m_factor))
 
 

@@ -116,11 +116,13 @@ def dirichlet(order, w):
     # Limit branch: (-1)^(m(N-1)) times a ratio of Taylor series in the
     # offset u = w - 2*pi*m; both series start at 1 so the ratio is exact at
     # the singular point itself.
-    parity = (cycles[near].astype(np.int64) * (n - 1)) & 1
+    # The parity of m comes from the float cycle count itself: fmod is exact
+    # for any integral float, while an int64 cast overflows past 2**63.
+    odd = (n - 1) % 2 * np.fmod(cycles[near], 2.0) != 0.0
     half = 0.5 * (flat[near] - 2.0 * np.pi * cycles[near])
     num = 1.0 - (n * half) ** 2 / 6.0 + (n * half) ** 4 / 120.0
     den = 1.0 - half**2 / 6.0 + half**4 / 120.0
-    out[near] = np.where(parity == 0, 1.0, -1.0) * num / den
+    out[near] = np.where(odd, -1.0, 1.0) * num / den
 
     wf = flat[~near]
     out[~near] = np.sin(0.5 * n * wf) / (n * np.sin(0.5 * wf))

@@ -4,13 +4,12 @@ The forward transform carries the 1/N factor and the inverse carries none,
 so ``idft(dft(x)) == x`` and the DFT values are samples of the normalized
 DTFT ``dtft_at``.  ``dft_naive``/``idft_naive`` are the quadratic-time
 reference implementations kept as oracles; ``dft``/``idft`` are the fast
-O(N log N) routes, built from an iterative radix-2 core plus a Bluestein
-chirp-z embedding so every length is supported.  Twiddle factors, bit
-reversal tables, and chirp workspaces are cached per (length, direction).
+O(N log N) routes for every length: numpy's pocketfft under
+``norm="forward"``, which is this convention exactly.  Nothing is cached
+between calls.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,93 +113,30 @@ def idft_naive(X) -> np.ndarray:
     return kernel @ a
 
 
-@lru_cache(maxsize=None)
-def _twiddles(n: int, sign: int) -> np.ndarray:
-    """Unit roots exp(sign*2j*pi*k/n), k < n/2, strided by every radix-2 stage."""
-    w = np.exp(sign * 2j * np.pi * np.arange(n // 2) / n)
-    w.setflags(write=False)
-    return w
+def _check_length(new_length, current: int) -> int:
+    n = int(new_length)
+    if n != new_length or n < current:
+        raise ValueError(f"new length must be an integer >= {current}, got {new_length!r}")
+    return n
 
 
-@lru_cache(maxsize=None)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    idx = np.arange(n)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
-
-
-def _fft_pow2(a: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized radix-2 transform of a power-of-two-length array."""
-    n = a.size
-    if n == 1:
-        return a.astype(np.complex128, copy=True)
-    out = a[_bit_reversal(n)].astype(np.complex128, copy=False)
-    roots = _twiddles(n, sign)
-    size = 2
-    while size <= n:
-        half = size // 2
-        w = roots[:: n // size]
-        blocks = out.reshape(-1, size)
-        upper = blocks[:, :half].copy()
-        lower = blocks[:, half:] * w
-        blocks[:, :half] = upper + lower
-        blocks[:, half:] = upper - lower
-        size *= 2
-    return out
-
-
-@lru_cache(maxsize=None)
-def _bluestein_workspace(n: int, sign: int):
-    """Chirp and padded-chirp spectrum for the length-n chirp-z embedding."""
-    k = np.arange(n, dtype=np.int64)
-    # The chirp phase k^2/(2n) wraps every 2n in k^2, so reduce the exact
-    # integer square first to keep the trig argument small.
-    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    spectrum = _fft_pow2(b, -1)
-    chirp.setflags(write=False)
-    spectrum.setflags(write=False)
-    return chirp, spectrum, m
-
-
-def _bluestein(a: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized arbitrary-length transform via chirp-z convolution."""
-    n = a.size
-    chirp, spectrum, m = _bluestein_workspace(n, sign)
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[:n] = a * chirp
-    conv = _fft_pow2(_fft_pow2(padded, -1) * spectrum, +1) / m
-    return chirp * conv[:n]
-
-
-def _fft_raw(a: np.ndarray, sign: int) -> np.ndarray:
-    if a.size & (a.size - 1) == 0:
-        return _fft_pow2(a, sign)
-    return _bluestein(a, sign)
-
-
-def dft(x) -> np.ndarray:
+def dft(x, n: int | None = None) -> np.ndarray:
     """Fast forward transform with the 1/N factor; matches ``dft_naive``.
 
-    Runs the radix-2 core directly for power-of-two lengths and through the
-    Bluestein embedding otherwise, so the cost is O(N log N) for every N.
+    numpy's pocketfft under ``norm="forward"``, which is exactly this
+    module's convention, so the cost is O(N log N) for every N.  Given ``n``,
+    it returns ``dft(zero_pad(x, n))`` without building the padded copy:
+    pocketfft pads while it copies the input into its output.
     """
     a = _as_samples(x)
-    return _fft_raw(a, -1) / a.size
+    if n is not None:
+        n = _check_length(n, a.size)
+    return np.fft.fft(a, n=n, norm="forward")
 
 
 def idft(X) -> np.ndarray:
     """Fast unnormalized inverse transform; matches ``idft_naive``."""
-    a = _as_samples(X)
-    return _fft_raw(a, +1)
+    return np.fft.ifft(_as_samples(X), norm="forward")
 
 
 def zero_pad(x, new_length: int):
@@ -213,11 +149,7 @@ def zero_pad(x, new_length: int):
         padded = zero_pad(x.samples, new_length)
         return Sequence(padded, x.sample_period)
     a = _as_samples(x)
-    n = int(new_length)
-    if n != new_length or n < a.size:
-        raise ValueError(
-            f"new length must be an integer >= {a.size}, got {new_length!r}"
-        )
+    n = _check_length(new_length, a.size)
     out = np.zeros(n, dtype=np.complex128)
     out[: a.size] = a
     return out

@@ -131,6 +131,12 @@ class TestUpsampleErrorStudy:
         with pytest.raises(ValueError):
             upsample_error_study(spec, 1)
 
+    @pytest.mark.parametrize("factor", [np.inf, None])
+    def test_non_integer_factor_rejected_by_name(self, factor):
+        spec = SignalSpec(kind="gaussian-pulse", length=16)
+        with pytest.raises(ValueError, match=repr(factor)):
+            upsample_error_study(spec, factor)
+
 
 class TestBench:
     def test_rejects_too_few_repetitions(self):

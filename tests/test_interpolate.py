@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,11 @@ class TestFftUpsample:
         with pytest.raises(ValueError):
             fft_upsample(np.ones(4), 1.5)
 
+    @pytest.mark.parametrize("factor", [np.inf, np.nan, None, True, "2"])
+    def test_rejects_non_integer_factor_by_name(self, factor):
+        with pytest.raises(ValueError, match=re.escape(repr(factor))):
+            fft_upsample(np.ones(4), factor)
+
 
 class TestTrigonometricExactness:
     """The Dirichlet interpolant reproduces tones on the centered harmonic
@@ -156,6 +163,21 @@ class TestTrigonometricExactness:
         truth = sum(a * np.exp(2j * np.pi * h * refined / n) for h, a in harmonics)
         out = fft_upsample(x, factor).samples
         np.testing.assert_allclose(out, truth, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [1001, 4097, 65537, 1_000_001])
+    def test_odd_length_tone_error_flat_in_n(self, n):
+        # exp(2j*pi*h*m/P) with 2*h*m reduced mod 2*P in int64, so the
+        # reference carries no phase drift of its own; one bound for every N
+        # shows the pipeline's error does not grow with N
+        factor, h = 2, n // 3
+
+        def tone(m, period):
+            return np.exp(1j * np.pi * ((2 * h * m) % (2 * period)) / period)
+
+        x = tone(np.arange(n, dtype=np.int64), n)
+        out = fft_upsample(x, factor).samples
+        truth = tone(np.arange(factor * n, dtype=np.int64), factor * n)
+        assert np.abs(out - truth).max() < 1e-13
 
     def test_even_length_constant_ripples(self):
         # off-grid points of an all-ones record do not stay at 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ def test_dirichlet_continuous_through_singularity():
             outside = dirichlet(order, base + 1.1e-9)
             assert abs(inside - limit) < 1e-12
             assert abs(outside - limit) < 1e-6
+
+
+def test_dirichlet_huge_argument_emits_no_warning():
+    # the singular-point parity must not go through an int64 cast of the
+    # cycle count, which overflows far below 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = dirichlet(3, 1e300)
+    assert abs(value) <= 1.0
 
 
 def test_kernel_spec_validates():

@@ -140,6 +140,18 @@ class TestFast:
         with pytest.raises(ValueError):
             dft([])
 
+    @pytest.mark.parametrize("n, length", [(5, 5), (5, 20), (12, 36), (7, 16)])
+    def test_padded_length_matches_zero_pad(self, n, length):
+        x = random_complex(n, length)
+        np.testing.assert_allclose(
+            dft(x, length), dft_naive(zero_pad(x, length)), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("length", [2, 4.5, 3.0 + 1e-9])
+    def test_padded_length_rejects_shrinking_or_fraction(self, length):
+        with pytest.raises(ValueError, match="new length"):
+            dft([1, 2, 3], length)
+
 
 class TestZeroPad:
     def test_definition(self):
