@@ -157,17 +157,30 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpol
     return studies
 
 
-def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichlet")):
-    """Median wall-clock seconds per (size, method); warm-up run discarded.
+# Each timed lap repeats the call until it lasts at least this long.  On a
+# shared 2-core VM, calls of a few milliseconds are slowed by up to 2x for
+# spells of about 0.1 s, which a median of three single-call laps does not
+# remove: the direct method at N = 1024 and 2048 then read as little as
+# 1.2-2.9x apart in up to 8% of trials, against 4x for its quadratic cost.
+_MIN_LAP_SECONDS = 0.2
 
-    Inputs are deterministic bandlimited-random signals seeded by the size,
-    with the band capped so generation stays cheap relative to the timed
-    work.  Timing runs serially.
+
+def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichlet")):
+    """Median wall-clock seconds per call for each (size, method).
+
+    A warm-up call per case, discarded, fixes how many calls each of its
+    ``repetitions`` laps makes: enough to last about 0.2 s.  The laps go
+    round all the cases in turn, so a host that slows down for a while
+    slows every case alike instead of one size.  Each row holds the median
+    over laps of the lap time divided by its calls.  Inputs are
+    deterministic bandlimited-random signals seeded by the size, with the
+    band capped so generation stays cheap relative to the timed work.
+    Timing runs serially.
     """
     if repetitions != int(repetitions) or int(repetitions) < 3:
         raise ValueError(f"repetitions must be an integer >= 3, got {repetitions!r}")
     reps = int(repetitions)
-    rows = []
+    cases = []
     for size in sizes:
         n = int(size)
         band = min((n - 1) // 2, 16)
@@ -175,10 +188,15 @@ def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichl
             signals.SignalSpec(kind="bandlimited-random", length=n, seed=n, band=band)
         )
         for method in methods:
-            laps = []
-            for _ in range(reps + 1):
-                start = time.perf_counter()
+            start = time.perf_counter()
+            interpolate.upsample(x, factor, method)
+            calls = max(1, math.ceil(_MIN_LAP_SECONDS / (time.perf_counter() - start)))
+            cases.append((n, method, x, calls))
+    laps = [[] for _ in cases]
+    for _ in range(reps):
+        for (_, method, x, calls), times in zip(cases, laps):
+            start = time.perf_counter()
+            for _ in range(calls):
                 interpolate.upsample(x, factor, method)
-                laps.append(time.perf_counter() - start)
-            rows.append((n, method, float(np.median(laps[1:]))))
-    return rows
+            times.append((time.perf_counter() - start) / calls)
+    return [(n, method, float(np.median(times))) for (n, method, _, _), times in zip(cases, laps)]

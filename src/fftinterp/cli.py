@@ -92,11 +92,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _out_of_memory(length: int, factor: int) -> MemoryError:
+    return MemoryError(
+        f"out of memory: --factor {factor} on {length} samples needs "
+        f"{factor * length} refined samples"
+    )
+
+
 def _cmd_upsample(args) -> int:
     if args.factor < 1:
         raise ValueError("--factor must be an integer >= 1")
     x = seqio.read_sequence(_open_in(args.infile))
-    refined = interpolate.upsample(x, args.factor, args.method)
+    try:
+        refined = interpolate.upsample(x, args.factor, args.method)
+    except MemoryError:
+        raise _out_of_memory(len(x), args.factor) from None
     seqio.write_sequence(
         refined, _open_out(args.out), {"M": str(args.factor), "method": args.method}
     )
@@ -107,7 +117,10 @@ def _cmd_spectrum(args) -> int:
     if args.factor < 1:
         raise ValueError("--factor must be an integer >= 1")
     x = seqio.read_sequence(_open_in(args.infile))
-    spectrum = interpolate.spectrum_upsample(x, args.factor)
+    try:
+        spectrum = interpolate.spectrum_upsample(x, args.factor)
+    except MemoryError:
+        raise _out_of_memory(len(x), args.factor) from None
     seqio.write_sequence(
         Sequence(spectrum.values),
         _open_out(args.out),
@@ -258,6 +271,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,8 @@ Dirichlet kernel at multiples of 2*pi) and accept scalars or arrays of any
 shape.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +32,30 @@ def _as_finite_array(w):
     return arr
 
 
+def _check_integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int, or a ValueError naming it.
+
+    Accepts integers and integral floats that are at least ``minimum``.
+    bool is an Integral subtype, but True is a flag, not a count, so it is
+    refused along with None, strings, inf and nan.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        whole = False
+    elif isinstance(value, numbers.Integral):
+        whole = True
+    else:
+        whole = math.isfinite(value) and value == int(value)
+    if not whole or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_order(order) -> int:
-    if order != int(order) or int(order) < 1:
-        raise ValueError(f"kernel order must be a positive integer, got {order!r}")
-    return int(order)
+    return _check_integer(order, "kernel order", 1)
 
 
 def _check_truncation(truncation) -> int:
-    if truncation != int(truncation) or int(truncation) < 0:
-        raise ValueError(
-            f"truncation must be a non-negative integer, got {truncation!r}"
-        )
-    return int(truncation)
+    return _check_integer(truncation, "truncation", 0)
 
 
 @dataclass(frozen=True)

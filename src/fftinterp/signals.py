@@ -144,8 +144,9 @@ def pulse_params(spec: SignalSpec):
 def eval_ground_truth(spec: SignalSpec, t):
     """Closed-form signal value at time(s) ``t`` in seconds (Ts = 1).
 
-    Tones evaluate sum_h a_h exp(2j*pi*h*t/N); the Gaussian pulse evaluates
-    its exponential directly.  Agrees with ``generate`` exactly at the
+    Tones evaluate sum_h a_h exp(2j*pi*h*t/N), with the phase 2*h*t reduced
+    mod 2N half-turns before exp; the Gaussian pulse evaluates its
+    exponential directly.  Agrees with ``generate`` exactly at the
     sample points t = 0..N-1.
     """
     t_arr = np.asarray(t, dtype=float)
@@ -159,7 +160,11 @@ def eval_ground_truth(spec: SignalSpec, t):
         harmonics, amplitudes = _tone_table(spec)
         out = np.zeros(flat.shape, dtype=np.complex128)
         for h, a in zip(harmonics, amplitudes):
-            out += a * np.exp(2j * np.pi * h * flat / spec.length)
+            # exp(2j*pi*h*t/N) in half-turns: fmod is exact, and so is 2*h*t
+            # for integer or half-integer h at the integer or dyadic t of the
+            # sample and refined grids, so the phase does not drift with N.
+            half_turns = np.fmod(2.0 * h * flat, 2 * spec.length)
+            out += a * np.exp(1j * np.pi * half_turns / spec.length)
     out = out.reshape(t_arr.shape)
     return out if t_arr.ndim else complex(out)
 

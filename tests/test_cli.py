@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fftinterp import interpolate
 from fftinterp.cli import main
 from fftinterp.seqio import read_sequence
 
@@ -85,6 +86,19 @@ class TestUpsample:
         assert code == 1
         assert "--factor" in err
 
+    def test_out_of_memory_diagnosed(self, tmp_path, capsys, monkeypatch):
+        # the allocation failure is simulated; nothing large is allocated
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(interpolate, "upsample", exhausted)
+        src = self.make_input(tmp_path)
+        code, _, err = run(capsys, "upsample", "--in", str(src), "--factor", "1000000", "--out", "-")
+        assert code == 1
+        assert err.splitlines() == [
+            "error: out of memory: --factor 1000000 on 15 samples needs 15000000 refined samples"
+        ]
+
     def test_missing_file_diagnosed(self, tmp_path, capsys):
         code, _, err = run(capsys, "upsample", "--in", str(tmp_path / "nope.csv"), "--factor", "2", "--out", "-")
         assert code == 1
@@ -108,6 +122,19 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--in", str(src), "--factor", "0", "--out", "-")
         assert code == 1
         assert "--factor" in err
+
+    def test_out_of_memory_diagnosed(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(interpolate, "spectrum_upsample", exhausted)
+        src = tmp_path / "in.csv"
+        assert main(["gen", "--kind", "tone", "--n", "4", "--harmonics", "0", "--out", str(src)]) == 0
+        code, _, err = run(capsys, "spectrum", "--in", str(src), "--factor", "3", "--out", "-")
+        assert code == 1
+        assert err.splitlines() == [
+            "error: out of memory: --factor 3 on 4 samples needs 12 refined samples"
+        ]
 
 
 class TestKernels:

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fftinterp.interpolate import (
     METHODS,
@@ -206,6 +208,36 @@ class TestDirichletUpsampleDirect:
         with pytest.raises(ValueError):
             dirichlet_upsample_direct(np.ones(4), -2)
 
+    @pytest.mark.parametrize("n,factor", [(1, 1), (2, 3), (9, 4), (64, 2), (255, 4)])
+    def test_equals_entry_by_entry_matrix(self, n, factor):
+        # the lag table holds the same float expression as each matrix
+        # entry, so the sums agree bit for bit
+        x = random_complex(n, 73 + n)
+        m = np.arange(factor * n)
+        k = np.arange(n)
+        matrix = dirichlet(n, (2.0 * np.pi / (factor * n)) * (m[:, None] - factor * k))
+        out = dirichlet_upsample_direct(x, factor).samples
+        assert np.array_equal(out, matrix @ x)
+
+    def test_several_row_blocks_match_fast_path(self):
+        # N*MN = 4.5e6 entries, spread over many row blocks
+        x = random_complex(1500, 74)
+        direct = dirichlet_upsample_direct(x, 2).samples
+        fast = fft_upsample(x, 2).samples
+        assert np.abs(direct - fast).max() <= 1e-10
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        factor=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fast_path_agrees_with_oracle(self, n, factor, seed):
+        x = random_complex(n, seed)
+        fast = fft_upsample(x, factor).samples
+        direct = dirichlet_upsample_direct(x, factor).samples
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-13 * np.abs(x).sum())
+
 
 class TestSpectrumUpsample:
     def test_all_ones_dc_value(self):
@@ -269,6 +301,24 @@ class TestDispatch:
         out = upsample(x, 3, "sinc").samples
         times = np.arange(36) * (2.0 / 3)
         np.testing.assert_allclose(out, sinc_interp(x, times), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_sinc_method_equals_pointwise_evaluation_on_unit_period(self, factor):
+        # with Ts = 1 and a power-of-two M the refined times are exact, so
+        # every kernel value matches the one sinc_interp computes
+        x = Sequence(random_complex(33, 102), sample_period=1.0)
+        out = upsample(x, factor, "sinc").samples
+        times = np.arange(33 * factor) * (1.0 / factor)
+        assert np.array_equal(out, sinc_interp(x, times))
+
+    @pytest.mark.parametrize("n", [1, 17, 64])
+    @pytest.mark.parametrize("factor", [3, 7])
+    @pytest.mark.parametrize("period", [2.0, 0.3])
+    def test_sinc_method_close_to_pointwise_evaluation(self, n, factor, period):
+        x = Sequence(random_complex(n, 103 + n), sample_period=period)
+        out = upsample(x, factor, "sinc").samples
+        times = np.arange(n * factor) * (period / factor)
+        np.testing.assert_allclose(out, sinc_interp(x, times), rtol=0, atol=1e-13)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

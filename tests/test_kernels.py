@@ -65,6 +65,28 @@ def test_dirichlet_rejects_bad_order():
         dirichlet(2.5, 1.0)
 
 
+NOT_WHOLE = [np.inf, np.nan, None, True, "2", 2.5]
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
+def test_order_must_be_a_whole_number(value):
+    for evaluate in (lambda: dirichlet(value, 1.0), lambda: psinc(value, 2, 1.0)):
+        with pytest.raises(ValueError, match="kernel order"):
+            evaluate()
+
+
+@pytest.mark.parametrize("value", NOT_WHOLE, ids=repr)
+def test_truncation_must_be_a_whole_number(value):
+    with pytest.raises(ValueError, match="truncation"):
+        psinc(4, value, 1.0)
+
+
+def test_integral_float_order_and_truncation_accepted():
+    w = np.linspace(-3.0, 3.0, 7)
+    assert np.array_equal(dirichlet(4.0, w), dirichlet(4, w))
+    assert np.array_equal(psinc(4.0, 2.0, w), psinc(4, 2, w))
+
+
 def test_psinc_single_replica_is_scaled_sinc():
     rng = np.random.default_rng(1)
     w = rng.uniform(-np.pi, np.pi, 50)
