@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .interpolate import (
     METHODS,
-    UpsampleRequest,
     dirichlet_interp_spectrum,
     dirichlet_upsample_direct,
     fft_upsample,
@@ -24,7 +23,7 @@ from .interpolate import (
     spectrum_upsample,
     upsample,
 )
-from .kernels import KernelSpec, dirichlet, psinc, sinc
+from .kernels import dirichlet, psinc, sinc
 from .seqio import ParseError, read_sequence, write_sequence, write_table
 from .signals import KINDS, SignalSpec, eval_ground_truth, generate, splitmix64, uniform_doubles
 from .transforms import (

@@ -141,7 +141,7 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpol
     x = signals.generate(spec)
     n = spec.length
     positions = np.arange(m_factor * n) / m_factor
-    truth = signals.eval_ground_truth(spec, positions * x.sample_period)
+    truth = signals._refined_grid_truth(spec, m_factor)
     interior = (positions >= n / 4) & (positions <= 3 * n / 4)
     studies = []
     for method in methods:

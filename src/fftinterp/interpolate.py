@@ -16,8 +16,6 @@ q = 0..N-1 (integers for odd N, half-integers for even N); in particular
 it does not preserve constants off-grid for even N.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -26,7 +24,6 @@ from .transforms import Sequence, SpectrumSamples, dft, idft, zero_pad
 
 __all__ = [
     "METHODS",
-    "UpsampleRequest",
     "sinc_interp",
     "dirichlet_interp_spectrum",
     "fft_upsample",
@@ -43,22 +40,6 @@ METHODS = ("fft", "dirichlet", "sinc")
 # the direct sums at N ~ 10**3 run about twice as fast as with 4e6-entry
 # blocks.  A row's sum does not depend on the block it falls in.
 _BLOCK_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class UpsampleRequest:
-    """Integer upsampling factor plus the method used to realize it."""
-
-    factor: int
-    method: str = "fft"
-
-    def __post_init__(self):
-        _check_factor(self.factor)
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-
-    def apply(self, x) -> Sequence:
-        return upsample(x, self.factor, self.method)
 
 
 def _check_factor(factor) -> int:

@@ -14,11 +14,10 @@ shape.
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "sinc", "dirichlet", "psinc", "SINGULARITY_WINDOW"]
+__all__ = ["sinc", "dirichlet", "psinc", "SINGULARITY_WINDOW"]
 
 # Half-width (radians) of the window around a removable singularity inside
 # which a 3-term Taylor expansion replaces the raw sin/sin quotient.
@@ -56,29 +55,6 @@ def _check_order(order) -> int:
 
 def _check_truncation(truncation) -> int:
     return _check_integer(truncation, "truncation", 0)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Dirichlet order plus the psinc truncation (sinc replicas per side).
-
-    Attributes:
-        order: number of samples N behind the kernel; N >= 1.
-        truncation: replicas L kept on each side of the psinc sum; L >= 0.
-    """
-
-    order: int
-    truncation: int = 0
-
-    def __post_init__(self):
-        _check_order(self.order)
-        _check_truncation(self.truncation)
-
-    def dirichlet(self, w):
-        return dirichlet(self.order, w)
-
-    def psinc(self, w):
-        return psinc(self.order, self.truncation, w)
 
 
 def sinc(w):

@@ -7,15 +7,24 @@ A sequence file is:
     0,<re>,<im>            (one row per sample, contiguous 0-based index)
     ...
 
-Floats are serialized with shortest round-trip formatting, so writing and
+Blank lines and ``#`` lines may also appear between rows.  Floats are
+serialized with shortest round-trip formatting (``repr``), so writing and
 re-reading reproduces every sample bit for bit; the reader also accepts any
-other decimal float spelling.  Tables share the serialization and write an
-empty field for the -inf decibel sentinel.
+other spelling ``int`` and ``float`` accept.  Tables share the serialization
+and write an empty field for the -inf decibel sentinel.
+
+Sequence rows are handled a block of rows at a time, so that per-row work
+runs inside a few C-level calls and the whole text is never held at once:
+the writer formats each block with one ``%`` format, and the reader parses
+each block with one join/split and ``map(int, ...)``/``map(float, ...)``
+over its fields.  Errors are reported as if the file were checked line by
+line: a ParseError names the first bad line in file order.  A block that
+fails to parse is walked again row by row, only to name that line.
 """
 
+import itertools
 import math
 import os
-from io import StringIO
 
 import numpy as np
 
@@ -24,6 +33,10 @@ from .transforms import Sequence
 __all__ = ["ParseError", "SEQUENCE_HEADER", "read_sequence", "write_sequence", "write_table"]
 
 SEQUENCE_HEADER = "n,re,im"
+
+# Rows formatted or parsed per block: enough that the per-block calls cost
+# little per row, few enough that a block's strings stay small.
+_BLOCK_ROWS = 4096
 
 
 class ParseError(ValueError):
@@ -49,19 +62,30 @@ def _format_cell(value) -> str:
     return _format_float(number)
 
 
-def _write_text(sink, text: str):
+def _write_text(sink, chunks):
+    """Write the strings of ``chunks`` in order to a stream or a path."""
     if hasattr(sink, "write"):
-        sink.write(text)
+        for chunk in chunks:
+            sink.write(chunk)
         return
     with open(os.fspath(sink), "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        for chunk in chunks:
+            handle.write(chunk)
 
 
-def _read_lines(source):
-    if hasattr(source, "read"):
-        return StringIO(source.read())
-    with open(os.fspath(source), "r", encoding="utf-8") as handle:
-        return StringIO(handle.read())
+def _format_rows(samples, start: int) -> str:
+    """CSV text of the rows ``start, start + 1, ...`` holding ``samples``.
+
+    One ``%`` format per block: ``%d`` spells each index as ``str`` does
+    and ``%r`` each value as ``repr(float(value))`` does.
+    """
+    count = samples.size
+    values = np.ascontiguousarray(samples).view(np.float64).tolist()
+    fields = [None] * (3 * count)
+    fields[0::3] = range(start, start + count)
+    fields[1::3] = values[0::2]
+    fields[2::3] = values[1::2]
+    return ("%d,%r,%r\n" * count) % tuple(fields)
 
 
 def write_sequence(x, sink, metadata=None):
@@ -69,7 +93,8 @@ def write_sequence(x, sink, metadata=None):
 
     The sample period (when present) is emitted first as ``# Ts=...``;
     caller metadata follows in the given order, so identical inputs always
-    produce identical bytes.
+    produce identical bytes.  Rows are formatted and written a block at a
+    time, so the whole text is never held at once.
     """
     seq = x if isinstance(x, Sequence) else Sequence(x)
     lines = []
@@ -80,24 +105,99 @@ def write_sequence(x, sink, metadata=None):
             continue
         lines.append(f"# {key}={value}")
     lines.append(SEQUENCE_HEADER)
-    for index, sample in enumerate(seq.samples):
-        lines.append(f"{index},{_format_float(sample.real)},{_format_float(sample.imag)}")
-    _write_text(sink, "\n".join(lines) + "\n")
+    samples = seq.samples
+    blocks = (
+        _format_rows(samples[start : start + _BLOCK_ROWS], start)
+        for start in range(0, samples.size, _BLOCK_ROWS)
+    )
+    _write_text(sink, itertools.chain(["\n".join(lines) + "\n"], blocks))
+
+
+def _check_row(line_number: int, line: str, expected_index: int):
+    """Raise the ParseError that names what is wrong with one data row.
+
+    This is the diagnostic for a block that failed to parse; rows that
+    parse are never passed through it.
+    """
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ParseError(line_number, "expected 3 comma-separated fields")
+    try:
+        index = int(parts[0].strip())
+        real = float(parts[1])
+        imag = float(parts[2])
+    except ValueError:
+        raise ParseError(line_number, f"malformed row {line!r}") from None
+    if index != expected_index:
+        raise ParseError(
+            line_number, f"row index {index} is not contiguous (expected {expected_index})"
+        )
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise ParseError(line_number, "sample values must be finite")
+
+
+def _parse_rows(rows, start: int):
+    """Samples of the data rows ``rows``, indexed from ``start``; None if any is bad."""
+    count = len(rows)
+    if list(map(str.count, rows, itertools.repeat(","))) != [2] * count:
+        return None
+    fields = ",".join(rows).split(",")
+    samples = np.empty(count, dtype=np.complex128)
+    try:
+        if list(map(int, fields[0::3])) != list(range(start, start + count)):
+            return None
+        samples.real = list(map(float, fields[1::3]))
+        samples.imag = list(map(float, fields[2::3]))
+    except ValueError:
+        return None
+    if not np.isfinite(samples).all():
+        return None
+    return samples
+
+
+def _parse_block(rows, line_numbers, start: int):
+    """Samples of a block of data rows; a bad block raises for its first bad line."""
+    samples = _parse_rows(rows, start)
+    if samples is None:
+        for expected, line_number, line in zip(itertools.count(start), line_numbers, rows):
+            _check_row(line_number, line, expected)
+        raise RuntimeError("a row block failed to parse but each of its rows checks out")
+    return samples
+
+
+def _sample_period(line_number: int, text: str) -> float:
+    try:
+        period = float(text)
+    except ValueError:
+        raise ParseError(line_number, f"invalid Ts value {text!r}") from None
+    if not math.isfinite(period) or period <= 0:
+        raise ParseError(line_number, "Ts must be a positive number")
+    return period
 
 
 def read_sequence(source) -> Sequence:
     """Parse a sequence file; raises ParseError with the offending line number.
 
     ``# Ts=...`` sets the sample period; other metadata keys are ignored.
-    Rows must carry contiguous 0-based indices and finite values.
+    Rows must carry contiguous 0-based indices and finite values.  Blank
+    and ``#`` lines may appear anywhere.  Data rows are parsed a block at a
+    time; when a block fails, its rows are checked one by one to name the
+    first bad line, so errors read as if the file were checked line by line.
     """
-    handle = _read_lines(source)
+    if hasattr(source, "read"):
+        return _parse_lines(source)
+    with open(os.fspath(source), "r", encoding="utf-8") as handle:
+        return _parse_lines(handle)
+
+
+def _parse_lines(lines) -> Sequence:
+    """The sequence held by an iterable of text lines (see `read_sequence`)."""
     sample_period = None
-    samples = []
     header_seen = False
-    expected_index = 0
+    blocks = []  # parsed samples, _BLOCK_ROWS rows each
+    rows, line_numbers = [], []  # data rows not parsed yet
     line_number = 0
-    for line_number, raw in enumerate(handle, start=1):
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -105,39 +205,28 @@ def read_sequence(source) -> Sequence:
             key, sep, value = line[1:].partition("=")
             if sep and key.strip() == "Ts":
                 try:
-                    sample_period = float(value.strip())
-                except ValueError:
-                    raise ParseError(line_number, f"invalid Ts value {value.strip()!r}") from None
-                if not math.isfinite(sample_period) or sample_period <= 0:
-                    raise ParseError(line_number, "Ts must be a positive number")
-            continue
-        if not header_seen:
-            if [part.strip() for part in line.split(",")] != ["n", "re", "im"]:
-                raise ParseError(line_number, f"expected header {SEQUENCE_HEADER!r}")
+                    sample_period = _sample_period(line_number, value.strip())
+                except ParseError:
+                    if rows:  # a bad row above this line comes first in file order
+                        _parse_block(rows, line_numbers, len(blocks) * _BLOCK_ROWS)
+                    raise
+        elif header_seen:
+            rows.append(line)
+            line_numbers.append(line_number)
+            if len(rows) == _BLOCK_ROWS:
+                blocks.append(_parse_block(rows, line_numbers, len(blocks) * _BLOCK_ROWS))
+                rows, line_numbers = [], []
+        elif [part.strip() for part in line.split(",")] == ["n", "re", "im"]:
             header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(line_number, "expected 3 comma-separated fields")
-        try:
-            index = int(parts[0].strip())
-            real = float(parts[1])
-            imag = float(parts[2])
-        except ValueError:
-            raise ParseError(line_number, f"malformed row {line!r}") from None
-        if index != expected_index:
-            raise ParseError(
-                line_number, f"row index {index} is not contiguous (expected {expected_index})"
-            )
-        if not (math.isfinite(real) and math.isfinite(imag)):
-            raise ParseError(line_number, "sample values must be finite")
-        samples.append(complex(real, imag))
-        expected_index += 1
+        else:
+            raise ParseError(line_number, f"expected header {SEQUENCE_HEADER!r}")
+    if rows:
+        blocks.append(_parse_block(rows, line_numbers, len(blocks) * _BLOCK_ROWS))
     if not header_seen:
         raise ParseError(line_number + 1, f"missing header {SEQUENCE_HEADER!r}")
-    if not samples:
+    if not blocks:
         raise ParseError(line_number + 1, "file holds no sample rows")
-    return Sequence(np.array(samples, dtype=np.complex128), sample_period)
+    return Sequence(np.concatenate(blocks), sample_period)
 
 
 def write_table(rows, column_names, sink, metadata=None):
@@ -152,4 +241,4 @@ def write_table(rows, column_names, sink, metadata=None):
         if len(row) != len(column_names):
             raise ValueError(f"row width {len(row)} does not match {len(column_names)} columns")
         lines.append(",".join(_format_cell(value) for value in row))
-    _write_text(sink, "\n".join(lines) + "\n")
+    _write_text(sink, ["\n".join(lines) + "\n"])

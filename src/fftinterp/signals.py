@@ -141,6 +141,24 @@ def pulse_params(spec: SignalSpec):
     return center, width
 
 
+def _tone_sum(spec: SignalSpec, scaled_t, scale: int):
+    """sum_h a_h exp(2j*pi*h*t/N) at t = scaled_t / scale, in exact half-turns.
+
+    The phase 2*h*t/N half-turns is taken as 2*h*scaled_t reduced mod
+    2*scale*N, then divided by scale*N.  fmod is exact, and so is
+    2*h*scaled_t for integer or half-integer h at integer scaled_t (or at
+    the dyadic t of a power-of-two grid when scale is 1), so the phase does
+    not drift with N.
+    """
+    harmonics, amplitudes = _tone_table(spec)
+    turn = scale * spec.length
+    out = np.zeros(scaled_t.shape, dtype=np.complex128)
+    for h, a in zip(harmonics, amplitudes):
+        half_turns = np.fmod(2.0 * h * scaled_t, 2 * turn)
+        out += a * np.exp(1j * np.pi * half_turns / turn)
+    return out
+
+
 def eval_ground_truth(spec: SignalSpec, t):
     """Closed-form signal value at time(s) ``t`` in seconds (Ts = 1).
 
@@ -157,16 +175,26 @@ def eval_ground_truth(spec: SignalSpec, t):
         center, width = pulse_params(spec)
         out = np.exp(-((flat - center) ** 2) / (2.0 * width**2)).astype(np.complex128)
     else:
-        harmonics, amplitudes = _tone_table(spec)
-        out = np.zeros(flat.shape, dtype=np.complex128)
-        for h, a in zip(harmonics, amplitudes):
-            # exp(2j*pi*h*t/N) in half-turns: fmod is exact, and so is 2*h*t
-            # for integer or half-integer h at the integer or dyadic t of the
-            # sample and refined grids, so the phase does not drift with N.
-            half_turns = np.fmod(2.0 * h * flat, 2 * spec.length)
-            out += a * np.exp(1j * np.pi * half_turns / spec.length)
+        # exact at the integer t of the sample grid and at the dyadic t of a
+        # power-of-two refinement; _refined_grid_truth covers every factor
+        out = _tone_sum(spec, flat, 1)
     out = out.reshape(t_arr.shape)
     return out if t_arr.ndim else complex(out)
+
+
+def _refined_grid_truth(spec: SignalSpec, factor: int):
+    """Ground truth at t = m/M for m = 0..M*N-1 (Ts = 1), the grid that M-fold
+    upsampling fills.
+
+    Tone phases come from the integer m, so they stay exact for every M, not
+    only where m/M is a dyadic float; for power-of-two M the result is bit
+    for bit ``eval_ground_truth(spec, np.arange(M*N) / M)``.  The Gaussian
+    pulse is evaluated at the float times.
+    """
+    m = np.arange(factor * spec.length, dtype=np.int64)
+    if spec.kind == "gaussian-pulse":
+        return eval_ground_truth(spec, m / factor)
+    return _tone_sum(spec, m, factor)
 
 
 def generate(spec: SignalSpec) -> Sequence:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fftinterp.interpolate import (
     METHODS,
-    UpsampleRequest,
     dirichlet_interp_spectrum,
     dirichlet_upsample_direct,
     fft_upsample,
@@ -323,12 +322,3 @@ class TestDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             upsample(np.ones(4), 2, "cubic")
-
-    def test_request_validation(self):
-        request = UpsampleRequest(factor=2, method="dirichlet")
-        out = request.apply(np.ones(4))
-        assert len(out) == 8
-        with pytest.raises(ValueError):
-            UpsampleRequest(factor=0)
-        with pytest.raises(ValueError):
-            UpsampleRequest(factor=2, method="spline")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fftinterp.kernels import KernelSpec, dirichlet, psinc, sinc
+from fftinterp.kernels import dirichlet, psinc, sinc
 
 
 def test_sinc_at_zero():
@@ -187,13 +187,3 @@ def test_dirichlet_huge_argument_emits_no_warning():
         warnings.simplefilter("error")
         value = dirichlet(3, 1e300)
     assert abs(value) <= 1.0
-
-
-def test_kernel_spec_validates():
-    spec = KernelSpec(order=4, truncation=2)
-    assert spec.dirichlet(0.0) == 1.0
-    assert spec.psinc(0.0) == pytest.approx(psinc(4, 2, 0.0))
-    with pytest.raises(ValueError):
-        KernelSpec(order=0)
-    with pytest.raises(ValueError):
-        KernelSpec(order=4, truncation=-1)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fftinterp.analysis import KERNEL_COLUMNS
 from fftinterp.seqio import ParseError, read_sequence, write_sequence, write_table
@@ -105,6 +107,146 @@ class TestReadErrors:
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
             read_sequence(StringIO("n,re,im\n0,1.0\n"))
+
+
+# Longer than one block of rows of the reader and the writer, so that rows
+# on both sides of a block boundary are exercised.
+LONG = 9000
+
+
+def rows_text(samples, header_lines=("n,re,im",)):
+    rows = [f"{i},{float(v.real)!r},{float(v.imag)!r}" for i, v in enumerate(samples)]
+    return "\n".join([*header_lines, *rows]) + "\n"
+
+
+class TestLongFiles:
+    def test_blank_and_metadata_lines_between_rows_accepted(self):
+        text = (
+            "# kind=demo\n\nn,re,im\n0,1.0,0.0\n\n   \n# note=between rows\n"
+            "1,2.0,-1.0\n#\n# Ts=0.25\n2,3.0,0.5\n\n"
+        )
+        seq = read_sequence(StringIO(text))
+        np.testing.assert_array_equal(seq.samples, [1.0, 2.0 - 1.0j, 3.0 + 0.5j])
+        assert seq.sample_period == 0.25
+
+    def test_blank_lines_across_a_long_file(self):
+        samples = random_complex(LONG, 21)
+        lines = rows_text(samples).splitlines()
+        spaced = [line for row in lines for line in (row, "", "# x=y")]
+        seq = read_sequence(StringIO("\n".join(spaced)))
+        np.testing.assert_array_equal(seq.samples, samples)
+
+    @pytest.mark.parametrize("bad_row", [1, 4095, 4096, 4097, 6000, LONG - 1])
+    def test_malformed_row_deep_in_the_file_names_its_line(self, bad_row):
+        lines = rows_text(random_complex(LONG, 22), ("# Ts=1.0", "n,re,im")).splitlines()
+        lines[2 + bad_row] = f"{bad_row},0.5,oops"
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO("\n".join(lines)))
+        assert excinfo.value.line_number == 3 + bad_row
+        assert "malformed row" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("7,1.0", "expected 3 comma-separated fields"),
+            ("7,1.0,2.0,3.0", "expected 3 comma-separated fields"),
+            ("8,1.0,2.0", "row index 8 is not contiguous (expected 7)"),
+            ("7,inf,2.0", "sample values must be finite"),
+        ],
+    )
+    def test_each_row_defect_keeps_its_message(self, bad, message):
+        lines = rows_text(random_complex(LONG, 23)).splitlines()
+        lines[1 + 7] = bad
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO("\n".join(lines)))
+        assert str(excinfo.value) == f"line 9: {message}"
+
+    def test_short_row_and_long_row_are_not_realigned(self):
+        # together the two rows hold six fields that would parse as two rows
+        text = "n,re,im\n0,1.0,0.0\n1,5\n2,2,7,8\n"
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO(text))
+        assert str(excinfo.value) == "line 3: expected 3 comma-separated fields"
+
+    def test_two_bad_rows_report_the_earlier(self):
+        lines = rows_text(random_complex(LONG, 24)).splitlines()
+        lines[1 + 100] = "100,1.0,bad"
+        lines[1 + 5000] = "5000,1.0"
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO("\n".join(lines)))
+        assert excinfo.value.line_number == 102
+
+    def test_bad_row_before_bad_sample_period_reports_the_row(self):
+        text = "n,re,im\n0,1.0,0.0\n1,x,0.0\n2,1.0,0.0\n# Ts=soon\n3,1.0,0.0\n"
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO(text))
+        assert excinfo.value.line_number == 3
+
+    def test_bad_sample_period_before_bad_row_reports_the_period(self):
+        text = "n,re,im\n0,1.0,0.0\n# Ts=-2\n1,x,0.0\n"
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO(text))
+        assert excinfo.value.line_number == 3
+        assert "Ts must be a positive number" in str(excinfo.value)
+
+    def test_long_write_equals_per_row_formatting(self):
+        samples = random_complex(LONG, 25)
+        samples[:6] = [-0.0, 5e-324 - 5e-324j, 1e300 - 1e-300j, 1 / 3, -2.5e-06j, 123456789.0]
+        sink = StringIO()
+        write_sequence(Sequence(samples, sample_period=0.5), sink, {"M": "4"})
+        expected = "\n".join(
+            ["# Ts=0.5", "# M=4", "n,re,im"]
+            + [f"{i},{float(v.real)!r},{float(v.imag)!r}" for i, v in enumerate(samples)]
+        )
+        assert sink.getvalue() == expected + "\n"
+
+    def test_long_write_to_path_round_trips(self, tmp_path):
+        samples = random_complex(LONG, 26)
+        write_sequence(samples, tmp_path / "long.csv")
+        back = read_sequence(tmp_path / "long.csv")
+        np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+
+
+class TestProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        parts=st.lists(
+            st.tuples(finite_floats | edge_floats, finite_floats | edge_floats),
+            min_size=1,
+            max_size=60,
+        ),
+        period=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_read_of_write_is_bit_exact(self, parts, period):
+        samples = np.array([complex(re, im) for re, im in parts])
+        back, _ = roundtrip(Sequence(samples, sample_period=period))
+        np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+        assert back.sample_period == period
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        count=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+    )
+    def test_one_corrupted_field_names_its_line(self, count, data):
+        samples = random_complex(count, count)
+        lines = rows_text(samples, ("# Ts=2.0", "# kind=demo", "n,re,im")).splitlines()
+        row = data.draw(st.integers(min_value=0, max_value=count - 1), label="row")
+        fields = lines[3 + row].split(",")
+        column = data.draw(st.integers(min_value=0, max_value=2), label="column")
+        if column == 0:
+            bad = data.draw(st.sampled_from(["x", "1.5", "", str(row + 1), str(row - 1)]))
+        else:
+            bad = data.draw(st.sampled_from(["x", "", "nan", "-inf", "1e999", "1,0", "0x1p3"]))
+        fields[column] = bad
+        lines[3 + row] = ",".join(fields)
+        with pytest.raises(ParseError) as excinfo:
+            read_sequence(StringIO("\n".join(lines) + "\n"))
+        assert excinfo.value.line_number == 4 + row
 
 
 class TestTables:

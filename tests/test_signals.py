@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from fftinterp import signals
 from fftinterp.signals import SignalSpec, eval_ground_truth, generate, splitmix64, uniform_doubles
 from fftinterp.transforms import dft_naive
 
@@ -123,3 +124,42 @@ class TestGroundTruth:
         spec = SignalSpec(kind="tone", length=4, harmonics=(1,))
         with pytest.raises(ValueError):
             eval_ground_truth(spec, np.inf)
+
+
+class TestRefinedGridTruth:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SignalSpec(
+                kind="multitone",
+                length=10001,
+                harmonics=(3333, -1428, 5, -1),
+                amplitudes=(0.5, 0.25 - 0.1j, 0.2j, 1),
+            ),
+            SignalSpec(kind="multitone", length=1024, harmonics=(-511.5, 10.5), amplitudes=(1, 1j)),
+            SignalSpec(kind="bandlimited-random", length=255, seed=4),
+            SignalSpec(kind="gaussian-pulse", length=100),
+        ],
+    )
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_equals_float_times_for_power_of_two_factors(self, spec, factor):
+        # m/M is exact for power-of-two M, and the integer route's phase is
+        # the float route's scaled by a power of two, so not one bit moves
+        times = np.arange(factor * spec.length) / factor
+        np.testing.assert_array_equal(
+            signals._refined_grid_truth(spec, factor).view(np.uint64),
+            eval_ground_truth(spec, times).view(np.uint64),
+        )
+
+    @pytest.mark.parametrize("factor", [3, 7])
+    def test_tone_phase_exact_for_any_factor(self, factor):
+        n, harmonics = 10001, (3333, -1428)
+        spec = SignalSpec(kind="multitone", length=n, harmonics=harmonics, amplitudes=(1, 0.5))
+        m = np.arange(factor * n, dtype=np.int64)
+        turn = factor * n
+        expected = sum(
+            a * np.exp(1j * np.pi * ((2 * h * m) % (2 * turn)) / turn)
+            for h, a in zip(harmonics, (1, 0.5))
+        )
+        got = signals._refined_grid_truth(spec, factor)
+        assert np.max(np.abs(got - expected)) <= 1e-15
