@@ -9,7 +9,7 @@ import numpy as np
 
 from . import interpolate, signals
 from .kernels import dirichlet, psinc
-from .transforms import Sequence, SpectrumSamples
+from .transforms import _as_samples
 
 __all__ = [
     "ErrorReport",
@@ -102,18 +102,14 @@ def kernel_discrepancy(order: int, truncations, grid: OmegaGrid):
     return rows
 
 
-def _samples_of(x) -> np.ndarray:
-    if isinstance(x, Sequence):
-        return x.samples
-    if isinstance(x, SpectrumSamples):
-        return x.values
-    return np.asarray(x, dtype=np.complex128)
-
-
 def compare_sequences(a, b) -> ErrorReport:
-    """Element-wise |a - b| statistics; lengths must match."""
-    left = _samples_of(a)
-    right = _samples_of(b)
+    """Element-wise |a - b| statistics; lengths must match.
+
+    Each operand is a ``Sequence``, ``SpectrumSamples`` or a finite,
+    non-empty 1-D array; anything else is a ValueError.
+    """
+    left = _as_samples(a)
+    right = _as_samples(b)
     if left.size != right.size:
         raise ValueError(f"sequence lengths differ: {left.size} vs {right.size}")
     return ErrorReport.from_difference(left - right)

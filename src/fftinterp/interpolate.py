@@ -2,13 +2,21 @@
 
 Three routes are provided: truncated sinc summation (the sampling-theorem
 baseline), direct Dirichlet-kernel summation (the quadratic-time oracle),
-and the fast zero-padding FFT/IFFT pipeline with phase corrections.  The
-fast pipeline and the direct summation compute the same quantity
+and the fast FFT kernel.  The fast kernel and the direct summation compute
+the same quantity
 
     x3[m] = sum_k x[k] * dirichlet(N, 2*pi*(m - M*k) / (M*N))
 
 so they must agree to rounding error; the sinc route differs by the
 windowing effect near the record edges.
+
+The paper computes this sum by zero-padding to M*N points and taking one
+M*N-point FFT between two phase rotations.  The fast kernel here is the
+polyphase form of the same computation: output m = M*q + r of an M*N-point
+transform whose input is zero past N depends on q only through an N-point
+transform, so each of the M output phases r is one N-point inverse
+transform of the twisted input's spectrum times a phase ramp, and phase 0
+is the input itself.
 
 Note the Dirichlet interpolant is periodic and is exact only for signals
 whose harmonic content sits on the centered grid h = q - (N-1)/2,
@@ -16,11 +24,13 @@ q = 0..N-1 (integers for odd N, half-integers for even N); in particular
 it does not preserve constants off-grid for even N.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .kernels import _check_integer, dirichlet, sinc
-from .transforms import Sequence, SpectrumSamples, dft, idft, zero_pad
+from .transforms import Sequence, SpectrumSamples, dft, idft
 
 __all__ = [
     "METHODS",
@@ -46,14 +56,47 @@ def _check_factor(factor) -> int:
     return _check_integer(factor, "upsampling factor", 1)
 
 
+# exp(j*pi*q/2) for q = 0..3; multiplying by these is exact.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
 def _half_turns(numerator, denominator: int) -> np.ndarray:
     """exp(j*pi*numerator/denominator) for int64 numerators.
 
-    The numerator is reduced mod 2*denominator in exact integer arithmetic
-    first, so the argument of exp stays in [0, 2*pi) and its rounding error
-    does not grow with the numerator.
+    The numerator is split in exact integer arithmetic into the nearest
+    quarter turn q and a rest of at most an eighth of a turn, so exp only
+    sees arguments in [-pi/4, pi/4] and its rounding error does not grow
+    with the numerator.  The quarter turn j**q is applied exactly.
     """
-    return np.exp(1j * np.pi * (numerator % (2 * denominator)) / denominator)
+    numerator = np.asarray(numerator, dtype=np.int64) % (2 * denominator)
+    quarter = (4 * numerator + denominator) // (2 * denominator)
+    out = np.exp((0.5j * np.pi / denominator) * (2 * numerator - quarter * denominator))
+    out *= _QUARTER_TURNS[quarter & 3]
+    return out
+
+
+def _phase_tables(slopes, offsets, denominator: int, length: int):
+    """Yield exp(j*pi*(slope*k + offset)/denominator), k = 0..length-1, per pair.
+
+    Writing k = hi*B + lo with B = ceil(sqrt(length)) makes each table the
+    outer product of a table over hi and a table over lo, about sqrt(length)
+    entries each, so about 2*sqrt(length) exponentials are evaluated per
+    table instead of length; one ``_half_turns`` call serves every factor
+    of every pair.  Each entry carries one extra rounding from that
+    product, however long the table.  Tables are built one at a time, as
+    fresh writable arrays.
+    """
+    block = math.isqrt(length - 1) + 1
+    rows = -(-length // block)
+    # Reducing mod 2*denominator first keeps every numerator below
+    # 2*denominator*(length + 1), exact in int64.
+    slopes = np.asarray(slopes, dtype=np.int64)[:, None] % (2 * denominator)
+    offsets = np.asarray(offsets, dtype=np.int64)[:, None] % (2 * denominator)
+    numerators = slopes * np.concatenate((block * np.arange(rows), np.arange(block)))
+    numerators[:, rows:] += offsets
+    factors = _half_turns(numerators, denominator)
+    for row in factors:
+        yield np.multiply.outer(row[:rows], row[rows:]).ravel()[:length]
 
 
 def _as_sequence(x) -> Sequence:
@@ -126,42 +169,57 @@ def dirichlet_interp_spectrum(X, w):
 
 
 def fft_upsample(x, factor) -> Sequence:
-    """Upsample by an integer factor with the phase-corrected FFT pipeline.
+    """Upsample by an integer factor with the polyphase FFT kernel.
 
-    Steps: rotate the input by e^{-j(N-1)n*pi/N}, inverse transform
-    (N points), zero-pad to M*N, forward transform, scale by M, and rotate
-    the result by e^{+j(N-1)m*pi/(M*N)}.  The two rotations cancel the
-    phase terms the Dirichlet decomposition of the transform pair
-    introduces, leaving the pure kernel sum
+    Computes the paper's interpolant, the Dirichlet-kernel sum
 
-        x3[m] = sum_k x[k] * dirichlet(N, 2*pi*(m - M*k)/(M*N))
+        x3[m] = sum_k x[k] * dirichlet(N, 2*pi*(m - M*k)/(M*N)),
 
-    in O(MN log MN) time.  The output keeps M*q-th samples equal to x[q]
-    and carries sample period Ts/M.
+    one output phase at a time.  Writing m = M*q + r and
+    dirichlet(N, w) = (1/N) * sum_p e^{j(p - c)w} with c = (N-1)/2 gives
 
-    Every phase goes through exact integer reduction: each numerator,
-    (N-1) times a sample index, is reduced in int64 before it reaches exp,
-    so the error stays at a few ulps for any N.  Writing m = M*q + r splits the
-    output rotation into an N-point table (the conjugate of the input
-    rotation) times an M-point table, so N + M exponentials are evaluated
-    instead of M*N.
+        x3[M*q + r] = conj(twist)[q] * idft(dft(x * twist) * ramp_r)[q]
+
+    with twist[k] = e^{j*pi*(N-1)*k/N} and
+    ramp_r[p] = e^{j*pi*(2p - (N-1))*r/(M*N)}.
+
+    This is the paper's pipeline (rotate, N-point inverse transform,
+    zero-pad to M*N, M*N-point forward transform, rotate) taken one phase
+    at a time: an M*N-point transform of a sequence that is zero past N has
+    twiddles e^{-2j*pi*(M*q + r)*n/(M*N)} = e^{-2j*pi*q*n/N} *
+    e^{-2j*pi*r*n/(M*N)}, so its outputs M*q + r, for one r, are an N-point
+    transform of the input times a ramp.  Phase 0 has ramp 1 and is x
+    itself, so it is copied and the M*q-th samples equal x[q] bit for bit.
+    The work is one forward and M-1 inverse N-point transforms,
+    O(MN log N), and the output is the only M*N array the call allocates.
+    The output carries sample period Ts/M.
+
+    Every phase numerator is an integer reduced exactly in int64 before it
+    reaches exp, and each table is the outer product of two
+    ``_half_turns`` tables of about sqrt(N) entries, so the error stays at
+    a few ulps for any N.
     """
     seq = _as_sequence(x)
     m_factor = _check_factor(factor)
     n = len(seq)
     total = m_factor * n
-    coarse = _half_turns((n - 1) * np.arange(n, dtype=np.int64), n)
-    # The inverse(N)/forward(MN) pair under the 1/N-forward convention
-    # shrinks amplitudes by 1/M; the factor M in ``fine`` undoes it.
-    fine = m_factor * _half_turns((n - 1) * np.arange(m_factor, dtype=np.int64), total)
-    time_side = idft(seq.samples * coarse.conj())
-    refined = dft(time_side, total)
-    # Rotate in place, one table at a time, so the transform's output is the
-    # only complex M*N array the call allocates.
-    grid = refined.reshape(n, m_factor)
-    grid *= coarse[:, None]
-    grid *= fine
-    return Sequence(refined, _refined_period(seq, m_factor))
+    out = np.empty(total, dtype=np.complex128)
+    grid = out.reshape(n, m_factor)
+    grid[:, 0] = seq.samples
+    if m_factor > 1:
+        # Pair r is ramp_r; pair 0 is the twist, e^{j*pi*M*(N-1)*k/(M*N)},
+        # written over the ramps' denominator.
+        phases = np.arange(m_factor)
+        slopes = 2 * phases
+        slopes[0] = m_factor * (n - 1)
+        tables = _phase_tables(slopes, -(n - 1) * phases, total, n)
+        twist = next(tables)
+        spectrum = dft(seq.samples * twist)
+        untwist = np.conj(twist, out=twist)
+        for r, ramp in enumerate(tables, start=1):
+            ramp *= spectrum
+            np.multiply(idft(ramp), untwist, out=grid[:, r])
+    return Sequence(out, _refined_period(seq, m_factor))
 
 
 def _lag_sum(table, samples, factor: int) -> np.ndarray:
@@ -223,7 +281,7 @@ def spectrum_upsample(x, factor) -> SpectrumSamples:
     """
     seq = _as_sequence(x)
     m_factor = _check_factor(factor)
-    return SpectrumSamples(dft(zero_pad(seq.samples, m_factor * len(seq))))
+    return SpectrumSamples(dft(seq.samples, m_factor * len(seq)))
 
 
 def upsample(x, factor, method: str = "fft") -> Sequence:

@@ -83,9 +83,9 @@ def _as_samples(x) -> np.ndarray:
         return x.values
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("transform input must be a non-empty 1-D sequence")
+        raise ValueError("samples must form a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("transform input must be finite")
+        raise ValueError("samples must be finite")
     return arr
 
 

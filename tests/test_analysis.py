@@ -48,6 +48,15 @@ class TestErrorReport:
         with pytest.raises(ValueError):
             compare_sequences(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "bad", [np.array([1.0, np.nan]), np.array([np.inf, 0.0]), np.ones((2, 2)), []]
+    )
+    def test_non_finite_or_malformed_operand_rejected(self, bad):
+        good = np.ones(np.size(bad))
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="samples must"):
+                compare_sequences(a, b)
+
     def test_oracle_agreement_study(self):
         x = random_complex(16, 9)
         report = compare_sequences(

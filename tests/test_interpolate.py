@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fftinterp.interpolate import (
     METHODS,
+    _half_turns,
+    _phase_tables,
     dirichlet_interp_spectrum,
     dirichlet_upsample_direct,
     fft_upsample,
@@ -15,7 +17,15 @@ from fftinterp.interpolate import (
     upsample,
 )
 from fftinterp.kernels import dirichlet
-from fftinterp.transforms import Sequence, SpectrumSamples, dft_naive, dtft_at, idft_naive
+from fftinterp.transforms import (
+    Sequence,
+    SpectrumSamples,
+    dft,
+    dft_naive,
+    dtft_at,
+    idft_naive,
+    zero_pad,
+)
 
 
 def random_complex(n, seed):
@@ -77,6 +87,34 @@ class TestDirichletInterpSpectrum:
         )
 
 
+class TestPhaseTables:
+    def test_quarter_turns_are_exact(self):
+        den = 6
+        out = _half_turns(np.array([0, 3, 6, 9, 12, -3, 27]), den)
+        assert np.array_equal(out, [1, 1j, -1, -1j, 1, -1j, 1j])
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 255, 4097, 65536, 1_000_001])
+    @pytest.mark.parametrize(
+        "slope,offset,den",
+        [(1, 0, 1), (3, -7, 11), (-5, -12_345, 997), (999_999, -3_999_999, 4_000_000)],
+    )
+    def test_split_table_matches_full_table(self, length, slope, offset, den):
+        (table,) = _phase_tables([slope], [offset], den, length)
+        k = np.arange(length, dtype=np.int64)
+        full = _half_turns(slope * k + offset, den)
+        assert table.shape == (length,)
+        assert np.abs(table - full).max() <= 1e-15
+
+    def test_tables_come_one_per_pair_and_are_writable(self):
+        tables = list(_phase_tables([2, 4, 6], [-9, -18, -27], 40, 10))
+        assert len(tables) == 3
+        for r, table in enumerate(tables, start=1):
+            full = _half_turns(2 * r * np.arange(10) - 9 * r, 40)
+            assert np.abs(table - full).max() <= 1e-15
+        tables[0] *= 0
+        assert np.all(tables[1] != 0)
+
+
 class TestFftUpsample:
     def test_factor_one_is_identity(self):
         x = random_complex(12, 6)
@@ -109,6 +147,28 @@ class TestFftUpsample:
         np.testing.assert_allclose(
             out[::factor], x, rtol=1e-10, atol=1e-12 * np.abs(x).max()
         )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        factor=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_sample_preservation_is_bit_exact(self, n, factor, seed):
+        x = random_complex(n, seed)
+        out = fft_upsample(x, factor).samples
+        kept = np.ascontiguousarray(out[::factor])
+        assert np.array_equal(kept.view(np.uint64), x.view(np.uint64))
+        if factor == 1:
+            assert np.array_equal(out.view(np.uint64), x.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2053, 2048, 2049])
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_matches_direct_oracle_at_prime_even_and_odd_lengths(self, n, factor):
+        x = random_complex(n, 45 + n + factor)
+        fast = fft_upsample(x, factor).samples
+        direct = dirichlet_upsample_direct(x, factor).samples
+        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(x).sum()
 
     def test_linearity(self):
         n, factor = 10, 3
@@ -239,6 +299,12 @@ class TestDirichletUpsampleDirect:
 
 
 class TestSpectrumUpsample:
+    @pytest.mark.parametrize("n,factor", [(1, 3), (7, 2), (64, 4), (1009, 3)])
+    def test_equals_transform_of_padded_copy(self, n, factor):
+        x = random_complex(n, 85 + n)
+        values = spectrum_upsample(x, factor).values
+        assert np.array_equal(values, dft(zero_pad(x, factor * n)))
+
     def test_all_ones_dc_value(self):
         for n in (4, 9):
             values = spectrum_upsample(np.ones(n), 2).values
