@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interpolate, signals
-from .kernels import dirichlet, psinc
+from .kernels import _check_integer, _finite_floats, dirichlet, psinc
 from .transforms import _as_samples
 
 __all__ = [
@@ -63,11 +63,9 @@ class OmegaGrid:
     descriptor: tuple
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        points = _finite_floats(self.points, "grid points")
         if points.ndim != 1 or points.size < 2:
             raise ValueError("a grid needs at least two points")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("grid points must be finite")
         if not np.all(np.diff(points) > 0):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", points)
@@ -75,11 +73,11 @@ class OmegaGrid:
 
     @classmethod
     def linspace(cls, start: float, stop: float, count: int) -> "OmegaGrid":
-        if count != int(count) or int(count) < 2:
-            raise ValueError(f"grid count must be an integer >= 2, got {count!r}")
+        count = _check_integer(count, "grid count", 2)
+        start, stop = _finite_floats((start, stop), "grid bounds")
         if not stop > start:
             raise ValueError("grid stop must exceed start")
-        return cls(np.linspace(start, stop, int(count)), (float(start), float(stop), int(count)))
+        return cls(np.linspace(start, stop, count), (float(start), float(stop), count))
 
     def __len__(self):
         return self.points.size
@@ -131,9 +129,7 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpol
     points, where truncation (windowing) error concentrates.  Requires
     factor >= 2 so the refined grid actually contains off-sample points.
     """
-    m_factor = interpolate._check_factor(factor)
-    if m_factor < 2:
-        raise ValueError(f"study factor must be an integer >= 2, got {factor!r}")
+    m_factor = _check_integer(factor, "study factor", 2)
     x = signals.generate(spec)
     n = spec.length
     positions = np.arange(m_factor * n) / m_factor
@@ -173,12 +169,10 @@ def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichl
     band capped so generation stays cheap relative to the timed work.
     Timing runs serially.
     """
-    if repetitions != int(repetitions) or int(repetitions) < 3:
-        raise ValueError(f"repetitions must be an integer >= 3, got {repetitions!r}")
-    reps = int(repetitions)
+    reps = _check_integer(repetitions, "repetitions", 3)
     cases = []
     for size in sizes:
-        n = int(size)
+        n = _check_integer(size, "size", 1)
         band = min((n - 1) // 2, 16)
         x = signals.generate(
             signals.SignalSpec(kind="bandlimited-random", length=n, seed=n, band=band)

@@ -25,11 +25,12 @@ it does not preserve constants off-grid for even N.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .kernels import _check_integer, dirichlet, sinc
+from .kernels import _check_integer, _finite_floats, dirichlet, sinc
 from .transforms import Sequence, SpectrumSamples, dft, idft
 
 __all__ = [
@@ -107,6 +108,25 @@ def _refined_period(seq: Sequence, factor: int) -> float | None:
     return None if seq.sample_period is None else seq.sample_period / factor
 
 
+@contextmanager
+def _overflow_guard(seq: Sequence):
+    """Run a route's arithmetic and build its output, blaming overflow.
+
+    The input is finite, so a non-finite output can only come from float64
+    overflow: numpy's warnings for it are silenced, and the ValueError of
+    the output's own finiteness check is replaced by one that says so.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except ValueError:
+            peak = float(np.max(np.abs(seq.samples.view(np.float64))))
+            raise ValueError(
+                "the result overflows float64; the largest input magnitude "
+                f"(real or imaginary part) is {peak!r}"
+            ) from None
+
+
 def sinc_interp(x, t):
     """Truncated sinc reconstruction sum_n x[n] sinc(pi*(t - n*Ts)/Ts).
 
@@ -124,9 +144,7 @@ def sinc_interp(x, t):
     seq = _as_sequence(x)
     if seq.sample_period is None:
         raise ValueError("sinc interpolation needs a sequence with a sample period")
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("evaluation time must be finite")
+    t_arr = _finite_floats(t, "evaluation time")
     period = seq.sample_period
     grid = period * np.arange(len(seq))
     flat = np.atleast_1d(t_arr).ravel()
@@ -158,9 +176,7 @@ def dirichlet_interp_spectrum(X, w):
     spectrum = X if isinstance(X, SpectrumSamples) else SpectrumSamples(X)
     values = spectrum.values
     n = len(spectrum)
-    w_arr = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w_arr)):
-        raise ValueError("frequency must be finite")
+    w_arr = _finite_floats(w, "frequency")
     offsets = np.atleast_1d(w_arr).ravel()[:, None] - spectrum.grid_spacing * np.arange(n)
     kernel = np.exp(-0.5j * (n - 1) * offsets) * dirichlet(n, offsets)
     out = kernel @ values
@@ -206,20 +222,21 @@ def fft_upsample(x, factor) -> Sequence:
     out = np.empty(total, dtype=np.complex128)
     grid = out.reshape(n, m_factor)
     grid[:, 0] = seq.samples
-    if m_factor > 1:
-        # Pair r is ramp_r; pair 0 is the twist, e^{j*pi*M*(N-1)*k/(M*N)},
-        # written over the ramps' denominator.
-        phases = np.arange(m_factor)
-        slopes = 2 * phases
-        slopes[0] = m_factor * (n - 1)
-        tables = _phase_tables(slopes, -(n - 1) * phases, total, n)
-        twist = next(tables)
-        spectrum = dft(seq.samples * twist)
-        untwist = np.conj(twist, out=twist)
-        for r, ramp in enumerate(tables, start=1):
-            ramp *= spectrum
-            np.multiply(idft(ramp), untwist, out=grid[:, r])
-    return Sequence(out, _refined_period(seq, m_factor))
+    with _overflow_guard(seq):
+        if m_factor > 1:
+            # Pair r is ramp_r; pair 0 is the twist, e^{j*pi*M*(N-1)*k/(M*N)},
+            # written over the ramps' denominator.
+            phases = np.arange(m_factor)
+            slopes = 2 * phases
+            slopes[0] = m_factor * (n - 1)
+            tables = _phase_tables(slopes, -(n - 1) * phases, total, n)
+            twist = next(tables)
+            spectrum = dft(seq.samples * twist)
+            untwist = np.conj(twist, out=twist)
+            for r, ramp in enumerate(tables, start=1):
+                ramp *= spectrum
+                np.multiply(idft(ramp), untwist, out=grid[:, r])
+        return Sequence(out, _refined_period(seq, m_factor))
 
 
 def _lag_sum(table, samples, factor: int) -> np.ndarray:
@@ -270,7 +287,8 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
     m_factor = _check_factor(factor)
     n = len(seq)
     table = dirichlet(n, (2.0 * np.pi / (m_factor * n)) * _lags(n, m_factor))
-    return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
+    with _overflow_guard(seq):
+        return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
 
 
 def spectrum_upsample(x, factor) -> SpectrumSamples:
@@ -281,7 +299,8 @@ def spectrum_upsample(x, factor) -> SpectrumSamples:
     """
     seq = _as_sequence(x)
     m_factor = _check_factor(factor)
-    return SpectrumSamples(dft(seq.samples, m_factor * len(seq)))
+    with _overflow_guard(seq):
+        return SpectrumSamples(dft(seq.samples, m_factor * len(seq)))
 
 
 def upsample(x, factor, method: str = "fft") -> Sequence:
@@ -305,5 +324,6 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
         if seq.sample_period is None:
             raise ValueError("sinc interpolation needs a sequence with a sample period")
         table = sinc(np.pi * (_lags(len(seq), m_factor) / m_factor))
-        return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
+        with _overflow_guard(seq):
+            return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")

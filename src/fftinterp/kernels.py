@@ -24,10 +24,11 @@ __all__ = ["sinc", "dirichlet", "psinc", "SINGULARITY_WINDOW"]
 SINGULARITY_WINDOW = 1e-9
 
 
-def _as_finite_array(w):
-    arr = np.asarray(w, dtype=float)
+def _finite_floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array, or a ValueError naming it if not finite."""
+    arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("kernel argument must be finite")
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -66,7 +67,7 @@ def sinc(w):
     Returns:
         sin(w)/w with the same shape as ``w``; exactly 1 at w = 0.
     """
-    arr = _as_finite_array(w)
+    arr = _finite_floats(w, "kernel argument")
     flat = np.atleast_1d(arr).astype(float)
     out = np.empty_like(flat)
     near = np.abs(flat) < SINGULARITY_WINDOW
@@ -96,7 +97,7 @@ def dirichlet(order, w):
         Kernel amplitude with the same shape as ``w``.
     """
     n = _check_order(order)
-    arr = _as_finite_array(w)
+    arr = _finite_floats(w, "kernel argument")
     flat = np.atleast_1d(arr).astype(float)
     out = np.empty_like(flat)
 
@@ -140,7 +141,7 @@ def psinc(order, truncation, w):
     """
     n = _check_order(order)
     reps = _check_truncation(truncation)
-    arr = _as_finite_array(w)
+    arr = _finite_floats(w, "kernel argument")
 
     shifts = np.arange(-reps, reps + 1)
     signs = 1.0 - 2.0 * (((n - 1) * shifts) & 1)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_integer, _finite_floats
 from .transforms import Sequence
 
 __all__ = [
@@ -48,7 +49,7 @@ def splitmix64(seed: int, count: int) -> list[int]:
     """First ``count`` raw outputs of the splitmix64 recurrence."""
     state = int(seed) & _MASK64
     out = []
-    for _ in range(count):
+    for _ in range(_check_integer(count, "count", 0)):
         state = (state + _GOLDEN) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -91,9 +92,7 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.length != int(self.length) or int(self.length) < 1:
-            raise ValueError(f"length must be an integer >= 1, got {self.length!r}")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", _check_integer(self.length, "length", 1))
         object.__setattr__(self, "harmonics", tuple(float(h) for h in self.harmonics))
         object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
 
@@ -111,8 +110,8 @@ class SignalSpec:
                 )
         if self.kind == "bandlimited-random":
             limit = int(half_band)
-            band = limit if self.band is None else int(self.band)
-            if band < 0 or (self.bandlimited and band > half_band):
+            band = limit if self.band is None else _check_integer(self.band, "band", 0)
+            if self.bandlimited and band > half_band:
                 raise ValueError(f"band must lie in 0..{limit} for length {self.length}")
             object.__setattr__(self, "band", band)
         if self.kind == "gaussian-pulse":
@@ -167,9 +166,7 @@ def eval_ground_truth(spec: SignalSpec, t):
     exponential directly.  Agrees with ``generate`` exactly at the
     sample points t = 0..N-1.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("evaluation time must be finite")
+    t_arr = _finite_floats(t, "evaluation time")
     flat = np.atleast_1d(t_arr).astype(float)
     if spec.kind == "gaussian-pulse":
         center, width = pulse_params(spec)

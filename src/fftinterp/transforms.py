@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_integer, _finite_floats
+
 __all__ = [
     "Sequence",
     "SpectrumSamples",
@@ -25,6 +27,16 @@ __all__ = [
 ]
 
 
+def _finite_vector(x, name: str) -> np.ndarray:
+    """``x`` as a finite, non-empty 1-D complex128 array, or a ValueError naming it."""
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must form a non-empty 1-D sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 @dataclass(eq=False)
 class Sequence:
     """Ordered complex samples with an optional sample period in seconds."""
@@ -33,14 +45,7 @@ class Sequence:
     sample_period: float | None = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise ValueError("samples must form a one-dimensional sequence")
-        if samples.size < 1:
-            raise ValueError("a sequence holds at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        self.samples = samples
+        self.samples = _finite_vector(self.samples, "samples")
         if self.sample_period is not None:
             period = float(self.sample_period)
             if not np.isfinite(period) or period <= 0.0:
@@ -58,14 +63,7 @@ class SpectrumSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise ValueError("values must form a one-dimensional sequence")
-        if values.size < 1:
-            raise ValueError("a spectrum holds at least one value")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        self.values = values
+        self.values = _finite_vector(self.values, "values")
 
     @property
     def grid_spacing(self) -> float:
@@ -81,12 +79,7 @@ def _as_samples(x) -> np.ndarray:
         return x.samples
     if isinstance(x, SpectrumSamples):
         return x.values
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("samples must form a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    return arr
+    return _finite_vector(x, "samples")
 
 
 def dft_naive(x) -> np.ndarray:
@@ -113,13 +106,6 @@ def idft_naive(X) -> np.ndarray:
     return kernel @ a
 
 
-def _check_length(new_length, current: int) -> int:
-    n = int(new_length)
-    if n != new_length or n < current:
-        raise ValueError(f"new length must be an integer >= {current}, got {new_length!r}")
-    return n
-
-
 def dft(x, n: int | None = None) -> np.ndarray:
     """Fast forward transform with the 1/N factor; matches ``dft_naive``.
 
@@ -130,7 +116,7 @@ def dft(x, n: int | None = None) -> np.ndarray:
     """
     a = _as_samples(x)
     if n is not None:
-        n = _check_length(n, a.size)
+        n = _check_integer(n, "new length", a.size)
     return np.fft.fft(a, n=n, norm="forward")
 
 
@@ -149,7 +135,7 @@ def zero_pad(x, new_length: int):
         padded = zero_pad(x.samples, new_length)
         return Sequence(padded, x.sample_period)
     a = _as_samples(x)
-    n = _check_length(new_length, a.size)
+    n = _check_integer(new_length, "new length", a.size)
     out = np.zeros(n, dtype=np.complex128)
     out[: a.size] = a
     return out
@@ -170,9 +156,7 @@ def dtft_at(x, w):
         Complex amplitude(s) with the shape of ``w``.
     """
     a = _as_samples(x)
-    w_arr = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w_arr)):
-        raise ValueError("frequency must be finite")
+    w_arr = _finite_floats(w, "frequency")
     n = a.size
     flat = np.atleast_1d(w_arr).ravel()
     out = np.exp(-1j * flat[:, None] * np.arange(n)) @ a / n

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from fftinterp.analysis import (
     upsample_error_study,
 )
 from fftinterp.interpolate import dirichlet_upsample_direct, fft_upsample
-from fftinterp.signals import SignalSpec
+from fftinterp.signals import SignalSpec, splitmix64
+from fftinterp.transforms import dft, zero_pad
 
 
 def random_complex(n, seed):
@@ -82,6 +84,12 @@ class TestOmegaGrid:
             OmegaGrid.linspace(1.0, 0.0, 8)
         with pytest.raises(ValueError):
             OmegaGrid(np.array([0.0, 0.0, 1.0]), (0.0, 1.0, 3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("start, stop", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+    def test_non_finite_bounds_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            OmegaGrid.linspace(start, stop, 3)
 
 
 class TestKernelDiscrepancy:
@@ -178,3 +186,42 @@ class TestBench:
         rows = bench_methods([1024, 2048], 2, 3, methods=("dirichlet",))
         times = {n: seconds for n, _, seconds in rows}
         assert times[2048] / times[1024] >= 3.0
+
+
+# Each count a caller passes, with its least valid value.
+COUNT_ENTRY_POINTS = {
+    "SignalSpec-length": (1, lambda v: SignalSpec(kind="tone", length=v, harmonics=(0,))),
+    "SignalSpec-band": (0, lambda v: SignalSpec(kind="bandlimited-random", length=9, band=v)),
+    "OmegaGrid-linspace": (2, lambda v: OmegaGrid.linspace(0.0, 1.0, v)),
+    "bench_methods-repetitions": (3, lambda v: bench_methods([8], 2, v)),
+    "bench_methods-sizes": (1, lambda v: bench_methods([v], 2, 3)),
+    "dft": (2, lambda v: dft([1, 2], v)),
+    "zero_pad": (2, lambda v: zero_pad([1, 2], v)),
+    "splitmix64-count": (0, lambda v: splitmix64(0, v)),
+    "upsample_error_study": (
+        2,
+        lambda v: upsample_error_study(SignalSpec(kind="gaussian-pulse", length=8), v),
+    ),
+}
+BELOW_MINIMUM = "minimum - 1"
+BAD_COUNTS = (np.inf, np.nan, None, True, "3", 2.5, BELOW_MINIMUM)
+# None is the documented default of band and of dft's n, not a bad count.
+NONE_IS_DEFAULT = ("SignalSpec-band", "dft")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in COUNT_ENTRY_POINTS
+        for bad in BAD_COUNTS
+        if not (bad is None and entry in NONE_IS_DEFAULT)
+    ],
+)
+def test_bad_count_is_one_value_error_naming_it(entry, bad):
+    minimum, call = COUNT_ENTRY_POINTS[entry]
+    if bad is BELOW_MINIMUM:
+        bad = minimum - 1
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        call(bad)

@@ -1,9 +1,15 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fftinterp import interpolate
 from fftinterp.cli import main
-from fftinterp.seqio import read_sequence
+from fftinterp.seqio import read_sequence, write_sequence
+from fftinterp.transforms import Sequence
 
 
 def run(capsys, *argv):
@@ -97,6 +103,18 @@ class TestUpsample:
         assert code == 1
         assert err.splitlines() == [
             "error: out of memory: --factor 1000000 on 15 samples needs 15000000 refined samples"
+        ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", interpolate.METHODS)
+    def test_overflow_diagnosed_in_one_line(self, tmp_path, capsys, method):
+        src = tmp_path / "huge.csv"
+        write_sequence(Sequence([1.7e308] * 5, 1.0), src)
+        code, _, err = run(capsys, "upsample", "--in", str(src), "--factor", "2", "--method", method, "--out", "-")
+        assert code == 1
+        assert err.splitlines() == [
+            "error: the result overflows float64; the largest input magnitude "
+            "(real or imaginary part) is 1.7e+308"
         ]
 
     def test_missing_file_diagnosed(self, tmp_path, capsys):
@@ -213,3 +231,37 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
         assert excinfo.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def signal_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "in.csv"
+    assert main(["gen", "--kind", "tone", "--n", "4", "--harmonics", "0", "--out", str(path)]) == 0
+    return str(path)
+
+
+# Each integer flag, its least valid value, and the argv around it.
+INTEGER_FLAGS = {
+    "gen --n": (1, lambda v, src, out: ["gen", "--kind", "tone", f"--n={v}", "--harmonics", "0", "--out", out]),
+    "upsample --factor": (1, lambda v, src, out: ["upsample", "--in", src, f"--factor={v}", "--out", out]),
+    "spectrum --factor": (1, lambda v, src, out: ["spectrum", "--in", src, f"--factor={v}", "--out", out]),
+    "kernels --n": (1, lambda v, src, out: ["kernels", f"--n={v}", "--out", out]),
+    "bench --reps": (3, lambda v, src, out: ["bench", "--sizes", "8", f"--reps={v}", "--out", out]),
+    "bench --sizes": (1, lambda v, src, out: ["bench", f"--sizes={v}", "--out", out]),
+}
+
+
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_integer_flag_below_minimum_is_one_diagnostic(signal_file, flag, data):
+    minimum, argv = INTEGER_FLAGS[flag]
+    value = data.draw(st.integers(max_value=minimum - 1), label="value")
+    out = signal_file + ".out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv(value, signal_file, out))
+    lines = stderr.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in stderr.getvalue()

@@ -388,3 +388,30 @@ class TestDispatch:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             upsample(np.ones(4), 2, "cubic")
+
+
+class TestOverflow:
+    """Finite input whose interpolant overflows float64 gets one ValueError
+    that says so, with no RuntimeWarning on the way."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "route",
+        [
+            fft_upsample,
+            dirichlet_upsample_direct,
+            lambda x, factor: upsample(x, factor, "sinc"),
+            spectrum_upsample,
+        ],
+        ids=["fft_upsample", "dirichlet_upsample_direct", "upsample-sinc", "spectrum_upsample"],
+    )
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_overflow_named_with_largest_input(self, route, factor):
+        x = Sequence([1.7e308] * 4 + [-2.5e307j], sample_period=1.0)
+        with pytest.raises(ValueError, match=r"overflows float64.* 1\.7e\+308$"):
+            route(x, factor)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_input_that_fits_is_kept(self):
+        x = np.full(5, 1e307)
+        np.testing.assert_allclose(fft_upsample(x, 2).samples, np.full(10, 1e307), rtol=1e-14)
