@@ -149,22 +149,27 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpol
     return studies
 
 
-# Each timed lap repeats the call until it lasts at least this long.  On a
-# shared 2-core VM, calls of a few milliseconds are slowed by up to 2x for
-# spells of about 0.1 s, which a median of three single-call laps does not
-# remove: the direct method at N = 1024 and 2048 then read as little as
-# 1.2-2.9x apart in up to 8% of trials, against 4x for its quadratic cost.
-_MIN_LAP_SECONDS = 0.2
+# Each case is timed in slices of repeated calls lasting at least this long,
+# ten per lap, going round all the cases in turn.  On a shared 2-core VM a
+# second process that takes a core for 0.15 s of every 0.4 s made the
+# direct method at N = 1024 and 2048 read less than 3x apart in 25 of 93
+# trials of the median of three 0.2 s laps (2.0x at worst), against 4x for
+# its quadratic cost.  The median over 30 interleaved 0.02 s slices read
+# 3.3-4.0x in 56 trials under the same load: the spells slow fewer than
+# half of the slices, and the median drops them.
+_SLICE_SECONDS = 0.02
+_SLICES_PER_LAP = 10
 
 
 def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichlet")):
     """Median wall-clock seconds per call for each (size, method).
 
     A warm-up call per case, discarded, fixes how many calls each of its
-    ``repetitions`` laps makes: enough to last about 0.2 s.  The laps go
-    round all the cases in turn, so a host that slows down for a while
-    slows every case alike instead of one size.  Each row holds the median
-    over laps of the lap time divided by its calls.  Inputs are
+    timed slices makes: enough to last about 0.02 s.  Each of the
+    ``repetitions`` laps times ten slices of every case, going round all
+    the cases in turn, so a host that slows down for a while slows every
+    case alike instead of one size.  Each row holds the median over the
+    case's slices of the slice time divided by its calls.  Inputs are
     deterministic bandlimited-random signals seeded by the size, with the
     band capped so generation stays cheap relative to the timed work.
     Timing runs serially.
@@ -180,13 +185,13 @@ def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichl
         for method in methods:
             start = time.perf_counter()
             interpolate.upsample(x, factor, method)
-            calls = max(1, math.ceil(_MIN_LAP_SECONDS / (time.perf_counter() - start)))
+            calls = max(1, math.ceil(_SLICE_SECONDS / (time.perf_counter() - start)))
             cases.append((n, method, x, calls))
-    laps = [[] for _ in cases]
-    for _ in range(reps):
-        for (_, method, x, calls), times in zip(cases, laps):
+    slices = [[] for _ in cases]
+    for _ in range(reps * _SLICES_PER_LAP):
+        for (_, method, x, calls), times in zip(cases, slices):
             start = time.perf_counter()
             for _ in range(calls):
                 interpolate.upsample(x, factor, method)
             times.append((time.perf_counter() - start) / calls)
-    return [(n, method, float(np.median(times))) for (n, method, _, _), times in zip(cases, laps)]
+    return [(n, method, float(np.median(times))) for (n, method, _, _), times in zip(cases, slices)]

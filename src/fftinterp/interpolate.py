@@ -30,7 +30,15 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .kernels import _check_integer, _finite_floats, dirichlet, sinc
+from .kernels import (
+    _check_integer,
+    _dirichlet_lags,
+    _finite_floats,
+    _quotient,
+    _sin_pi,
+    _sinc_lags,
+    dirichlet,
+)
 from .transforms import Sequence, SpectrumSamples, dft, idft
 
 __all__ = [
@@ -132,7 +140,12 @@ def sinc_interp(x, t):
 
     The ideal doubly infinite sum is restricted to the available record, so
     this is a baseline approximation whose error concentrates near the
-    edges (the windowing effect).  At t = m*Ts it returns x[m] exactly.
+    edges (the windowing effect).  sin(pi*u) at u = (t - n*Ts)/Ts is
+    reduced exactly to the nearest half-integer of u, so it is exactly 0
+    wherever u is an exact integer, and there t = m*Ts returns x[m] bit
+    for bit.  That holds when the float time arithmetic is exact, for
+    example when Ts is a power of two; otherwise the rounding of u leaves
+    an error of a few ulps.
 
     Args:
         x: sequence with a sample period set.
@@ -152,8 +165,9 @@ def sinc_interp(x, t):
     rows = max(1, _BLOCK_ENTRIES // len(seq))
     for lo in range(0, flat.size, rows):
         hi = min(lo + rows, flat.size)
-        args = np.pi * (flat[lo:hi, None] - grid) / period
-        out[lo:hi] = sinc(args) @ seq.samples
+        u = (flat[lo:hi, None] - grid) / period
+        args = _finite_floats(np.pi * u, "kernel argument")
+        out[lo:hi] = _quotient(_sin_pi(u), args) @ seq.samples
     out = out.reshape(t_arr.shape)
     return out if t_arr.ndim else complex(out)
 
@@ -244,28 +258,41 @@ def _lag_sum(table, samples, factor: int) -> np.ndarray:
 
     ``table`` holds a kernel at the (2N-1)*M integer lags d = m - M*k, from
     -(N-1)*M up to M*N-1, so each kernel value is evaluated once per lag
-    rather than once per (m, k) pair.  Each row block of the (M*N, N) lag
-    matrix is a zero-copy strided view of the table (strides s and -M*s),
-    copied in C order before the product, so the sum runs through the same
-    matrix-vector product as a matrix built entry by entry, bit for bit.
-    The table is made complex once, so the blocks need no cast of their own.
+    rather than once per (m, k) pair.  The kernel must be exactly 1 at
+    d = 0 and exactly 0 at the other multiples of M: then each output
+    m = M*q is samples[q], so phase 0 is copied and the products run over
+    the M-1 other phases only.  Each block of q values is a zero-copy
+    strided view of the table, shape (q, r, k) for r = 1..M-1 with strides
+    M*s, s and -M*s, copied in C order into one buffer that every block
+    reuses (a fresh 1 MB array per block cost about 500 page faults per
+    call at N = 380, M = 4) and taken as (q*r, N) rows of one
+    matrix-vector product.  So each row's sum is that of the matrix built
+    entry by entry, bit for bit, whatever block it falls in.  The table is
+    made complex once, so the blocks need no cast of their own.
     """
     n = samples.size
-    total = factor * n
-    table = np.asarray(table, dtype=np.complex128)
-    step = table.strides[0]
-    out = np.empty(total, dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, total, rows):
-        hi = min(lo + rows, total)
-        block = as_strided(
-            table[(n - 1) * factor + lo :],
-            shape=(hi - lo, n),
-            strides=(step, -factor * step),
-            writeable=False,
-        )
-        out[lo:hi] = np.ascontiguousarray(block) @ samples
-    return out
+    out = np.empty((n, factor), dtype=np.complex128)
+    out[:, 0] = samples
+    if factor > 1:
+        table = np.asarray(table, dtype=np.complex128)
+        step = table.strides[0]
+        phases = factor - 1
+        rows = max(1, _BLOCK_ENTRIES // (phases * n))
+        buffer = np.empty((min(rows, n), phases, n), dtype=np.complex128)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            block = buffer[: hi - lo]
+            np.copyto(
+                block,
+                as_strided(
+                    table[(n - 1 + lo) * factor + 1 :],
+                    shape=block.shape,
+                    strides=(factor * step, step, -factor * step),
+                    writeable=False,
+                ),
+            )
+            out[lo:hi, 1:] = (block.reshape(-1, n) @ samples).reshape(hi - lo, phases)
+    return out.reshape(-1)
 
 
 def _lags(n: int, factor: int) -> np.ndarray:
@@ -277,16 +304,21 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
     """Direct O(N*MN) Dirichlet-kernel summation; the oracle for ``fft_upsample``.
 
     Computes x3[m] = sum_k x[k] * dirichlet(N, 2*pi*(m - M*k)/(M*N)) term by
-    term, with no transform.  The kernel depends only on the lag m - M*k, so
-    it is evaluated (2N-1)*M times and the sum takes N*MN multiply-adds.
-    Every kernel value is the same float expression as in the entry-by-entry
-    matrix, so the output equals that matrix times x bit for bit.  The
-    kernel is real, so real inputs stay exactly real.
+    term, with no transform.  The kernel depends only on the lag
+    d = m - M*k, so it is evaluated (2N-1)*M times, in its integer-lag form
+    sin(pi*d/M) / (N*sin(pi*d/(M*N))): the numerator from a table of M
+    sines and a sign, the denominator's argument reflected to at most
+    pi/2, so the error stays at a few ulps for any N.  That kernel is
+    exactly 1 at d = 0 and exactly 0 at the other multiples of M, so phase
+    0 (m = M*q) is x itself, copied bit for bit, and the sum takes
+    N*(M-1)*N multiply-adds over the other phases.  The output equals the
+    entry-by-entry matrix of that kernel times x, bit for bit.  The kernel
+    is real, so real inputs stay exactly real.
     """
     seq = _as_sequence(x)
     m_factor = _check_factor(factor)
     n = len(seq)
-    table = dirichlet(n, (2.0 * np.pi / (m_factor * n)) * _lags(n, m_factor))
+    table = _dirichlet_lags(n, m_factor, _lags(n, m_factor))
     with _overflow_guard(seq):
         return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
 
@@ -308,9 +340,12 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
 
     ``fft`` and ``dirichlet`` need no sample period; ``sinc`` requires one.
     The ``sinc`` route is ``sinc_interp`` on the refined grid, as a direct
-    O(N*MN) sum: its kernel sinc(pi*(m - M*k)/M) depends only on the lag,
-    so it is evaluated (2N-1)*M times and the sum takes N*MN multiply-adds.
-    For Ts = 1 and M a power of two every kernel value is the one
+    O(N*MN) sum: its kernel sinc(pi*d/M) depends only on the lag
+    d = m - M*k, so it is evaluated (2N-1)*M times, with sin(pi*d/M) taken
+    from a table of M sines and a sign.  The kernel is exactly 1 at d = 0
+    and exactly 0 at the other multiples of M, so phase 0 is x, copied bit
+    for bit, and the sum takes N*(M-1)*N multiply-adds over the other
+    phases.  For Ts = 1 and M a power of two every kernel value is the one
     ``sinc_interp`` computes, so the outputs agree bit for bit; otherwise
     they differ by rounding in the time arithmetic.
     """
@@ -323,7 +358,7 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
     if method == "sinc":
         if seq.sample_period is None:
             raise ValueError("sinc interpolation needs a sequence with a sample period")
-        table = sinc(np.pi * (_lags(len(seq), m_factor) / m_factor))
+        table = _sinc_lags(m_factor, _lags(len(seq), m_factor))
         with _overflow_guard(seq):
             return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")

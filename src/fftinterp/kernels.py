@@ -9,7 +9,10 @@ ideal sinc interpolation.
 
 All kernels handle their removable singularities explicitly (sinc at 0, the
 Dirichlet kernel at multiples of 2*pi) and accept scalars or arrays of any
-shape.
+shape.  The quadratic-time oracles in ``interpolate`` use private forms of
+the Dirichlet and sinc kernels at the integer lags of the refined grid,
+built from integers and a table of M sines, so they are exact to a few ulps
+for any N and exactly 0 or 1 where the kernel is.
 """
 
 import math
@@ -32,12 +35,13 @@ def _finite_floats(value, name: str) -> np.ndarray:
     return arr
 
 
-def _check_integer(value, name: str, minimum: int) -> int:
+def _check_integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int, or a ValueError naming it.
 
-    Accepts integers and integral floats that are at least ``minimum``.
-    bool is an Integral subtype, but True is a flag, not a count, so it is
-    refused along with None, strings, inf and nan.
+    Accepts integers and integral floats that are at least ``minimum``
+    (any integer when it is None).  bool is an Integral subtype, but True
+    is a flag, not a count, so it is refused along with None, strings, inf
+    and nan.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         whole = False
@@ -45,8 +49,9 @@ def _check_integer(value, name: str, minimum: int) -> int:
         whole = True
     else:
         whole = math.isfinite(value) and value == int(value)
-    if not whole or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if not whole or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -148,3 +153,65 @@ def psinc(order, truncation, w):
     args = 0.5 * n * (arr[..., np.newaxis] - 2.0 * np.pi * shifts)
     out = (signs * sinc(args)).sum(axis=-1)
     return out if arr.ndim else float(out)
+
+
+# sin(pi*h/2 + x) for h = 0..3 mod 4 is sin x, cos x, -sin x, -cos x.
+_QUADRANT_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _sin_pi(u) -> np.ndarray:
+    """sin(pi*u) for a float array u with |pi*u| finite; exactly 0 at integers.
+
+    u is split exactly into the nearest half-integer h/2 and a rest of at
+    most 1/4, so sin and cos only see arguments in [-pi/4, pi/4] and their
+    rounding does not grow with u.  The quadrant h mod 4 comes from fmod of
+    the integral float h, exact at any magnitude.
+    """
+    halves = np.round(2.0 * u)
+    rest = np.pi * (u - 0.5 * halves)
+    quadrant = np.fmod(halves, 4.0).astype(np.intp) & 3
+    out = np.where(quadrant & 1, np.cos(rest), np.sin(rest))
+    out *= _QUADRANT_SIGNS[quadrant]
+    return out
+
+
+def _quotient(num, den) -> np.ndarray:
+    """num/den, and 1 where den is 0: the removable singularity of both kernels."""
+    return np.divide(num, den, out=np.ones(den.shape), where=den != 0)
+
+
+def _sin_pi_lags(factor: int, lags) -> np.ndarray:
+    """sin(pi*d/M) at integer lags d, with no trig call per lag.
+
+    With d = M*j + r and 0 <= r < M it is (-1)**j * sin(pi*r/M): a table
+    of M sines and their negatives, indexed by d mod 2M.  It is exactly 0
+    at every multiple of M.
+    """
+    turn = _sin_pi(np.arange(factor) / factor)
+    return np.concatenate((turn, -turn))[lags % (2 * factor)]
+
+
+def _dirichlet_lags(order: int, factor: int, lags) -> np.ndarray:
+    """dirichlet(N, 2*pi*d/(M*N)) at integer lags |d| < M*N, from integers.
+
+    The kernel is sin(pi*d/M) / (N*sin(pi*d/(M*N))), even in d.  Its
+    numerator is ``_sin_pi_lags``.  In the denominator |d| is reflected to
+    min(|d|, M*N - |d|) in integers, so sin sees at most pi/2 and its
+    rounding does not grow with N.  The value is exactly 1 at d = 0, the
+    only multiple of M*N in range, and exactly 0 at the other multiples of
+    M, so the interpolant keeps its samples bit for bit.
+    """
+    total = order * factor
+    reach = np.abs(lags)
+    den = order * np.sin((np.pi / total) * np.minimum(reach, total - reach))
+    return _quotient(_sin_pi_lags(factor, reach), den)
+
+
+def _sinc_lags(factor: int, lags) -> np.ndarray:
+    """sinc(pi*d/M) at integer lags d: the sinc kernel on an M-fold refined grid.
+
+    Exactly 1 at d = 0 and exactly 0 at the other multiples of M.  Each
+    value is ``_sin_pi_lags`` over pi*(d/M); when d/M is exact (M a power
+    of two) that is the float ``_sin_pi(u)`` / (pi*u) at u = d/M.
+    """
+    return _quotient(_sin_pi_lags(factor, lags), np.pi * (lags / factor))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _check_integer, _finite_floats
-from .transforms import Sequence
+from .transforms import Sequence, _finite_vector
 
 __all__ = [
     "KINDS",
@@ -93,8 +93,18 @@ class SignalSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "length", _check_integer(self.length, "length", 1))
-        object.__setattr__(self, "harmonics", tuple(float(h) for h in self.harmonics))
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
+        harmonics = _finite_floats(tuple(self.harmonics), "harmonics")
+        object.__setattr__(self, "harmonics", tuple(harmonics.tolist()))
+        amplitudes = tuple(self.amplitudes)
+        if amplitudes:
+            amplitudes = tuple(_finite_vector(amplitudes, "amplitudes").tolist())
+        object.__setattr__(self, "amplitudes", amplitudes)
+        if self.center is not None:
+            object.__setattr__(self, "center", float(_finite_floats(self.center, "pulse center")))
+        if self.width is not None:
+            object.__setattr__(self, "width", float(_finite_floats(self.width, "pulse width")))
+        # negative seeds are valid: the generator masks them to 64 bits
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
 
         half_band = (self.length - 1) / 2
         if self.kind == "tone" and len(self.harmonics) != 1:
@@ -114,9 +124,8 @@ class SignalSpec:
             if self.bandlimited and band > half_band:
                 raise ValueError(f"band must lie in 0..{limit} for length {self.length}")
             object.__setattr__(self, "band", band)
-        if self.kind == "gaussian-pulse":
-            if self.width is not None and not self.width > 0:
-                raise ValueError("pulse width must be positive")
+        if self.width is not None and not self.width > 0:
+            raise ValueError("pulse width must be positive")
 
 
 def _tone_table(spec: SignalSpec):

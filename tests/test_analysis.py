@@ -148,6 +148,19 @@ class TestUpsampleErrorStudy:
             (study,) = upsample_error_study(spec, factor, methods=("fft",))
             assert max(study.interior.max_abs, study.edge.max_abs) <= 1e-13, factor
 
+    @pytest.mark.parametrize("n", [255, 1023, 4097])
+    def test_oracle_error_flat_in_n(self, n):
+        # the direct oracle's integer-lag kernel keeps it at a few ulps for
+        # every N, like the fast path it checks
+        spec = SignalSpec(
+            kind="multitone",
+            length=n,
+            harmonics=(n // 3, -(n // 7), 5),
+            amplitudes=(0.5, 0.25 - 0.1j, 0.2j),
+        )
+        (study,) = upsample_error_study(spec, 2, methods=("dirichlet",))
+        assert max(study.interior.max_abs, study.edge.max_abs) <= 1e-14
+
     def test_gaussian_pulse_edges_dominate(self):
         spec = SignalSpec(kind="gaussian-pulse", length=64)
         studies = {s.method: s for s in upsample_error_study(spec, 2)}

@@ -16,7 +16,7 @@ from fftinterp.interpolate import (
     spectrum_upsample,
     upsample,
 )
-from fftinterp.kernels import dirichlet
+from fftinterp.kernels import _dirichlet_lags, _sinc_lags, dirichlet
 from fftinterp.transforms import (
     Sequence,
     SpectrumSamples,
@@ -60,6 +60,13 @@ class TestSincInterp:
         x = Sequence([1, 2], sample_period=1.0)
         with pytest.raises(ValueError):
             sinc_interp(x, np.nan)
+
+    @pytest.mark.parametrize("period", [1.0, 0.25])
+    def test_grid_times_return_samples_bit_for_bit(self, period):
+        # (t - n*Ts)/Ts is an exact integer here, where sin(pi*u) is exactly 0
+        x = Sequence(random_complex(37, 3), sample_period=period)
+        out = sinc_interp(x, np.arange(37) * period)
+        assert np.array_equal(out.view(np.uint64), x.samples.view(np.uint64))
 
 
 class TestDirichletInterpSpectrum:
@@ -168,7 +175,7 @@ class TestFftUpsample:
         x = random_complex(n, 45 + n + factor)
         fast = fft_upsample(x, factor).samples
         direct = dirichlet_upsample_direct(x, factor).samples
-        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(x).sum()
+        assert np.abs(fast - direct).max() <= 1e-15 * np.abs(x).sum()
 
     def test_linearity(self):
         n, factor = 10, 3
@@ -267,14 +274,17 @@ class TestDirichletUpsampleDirect:
         with pytest.raises(ValueError):
             dirichlet_upsample_direct(np.ones(4), -2)
 
-    @pytest.mark.parametrize("n,factor", [(1, 1), (2, 3), (9, 4), (64, 2), (255, 4)])
+    @pytest.mark.parametrize(
+        "n,factor", [(1, 1), (2, 3), (9, 4), (64, 2), (255, 4), (10, 3), (33, 5)]
+    )
     def test_equals_entry_by_entry_matrix(self, n, factor):
         # the lag table holds the same float expression as each matrix
-        # entry, so the sums agree bit for bit
+        # entry, and the skipped phase-0 rows are exact identity rows, so
+        # the sums agree bit for bit
         x = random_complex(n, 73 + n)
         m = np.arange(factor * n)
         k = np.arange(n)
-        matrix = dirichlet(n, (2.0 * np.pi / (factor * n)) * (m[:, None] - factor * k))
+        matrix = _dirichlet_lags(n, factor, m[:, None] - factor * k)
         out = dirichlet_upsample_direct(x, factor).samples
         assert np.array_equal(out, matrix @ x)
 
@@ -283,7 +293,7 @@ class TestDirichletUpsampleDirect:
         x = random_complex(1500, 74)
         direct = dirichlet_upsample_direct(x, 2).samples
         fast = fft_upsample(x, 2).samples
-        assert np.abs(direct - fast).max() <= 1e-10
+        assert np.abs(direct - fast).max() <= 1e-13
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -295,7 +305,7 @@ class TestDirichletUpsampleDirect:
         x = random_complex(n, seed)
         fast = fft_upsample(x, factor).samples
         direct = dirichlet_upsample_direct(x, factor).samples
-        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-13 * np.abs(x).sum())
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-14 * np.abs(x).sum())
 
 
 class TestSpectrumUpsample:
@@ -384,6 +394,22 @@ class TestDispatch:
         out = upsample(x, factor, "sinc").samples
         times = np.arange(n * factor) * (period / factor)
         np.testing.assert_allclose(out, sinc_interp(x, times), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n,factor", [(1, 2), (10, 3), (33, 5), (255, 4)])
+    def test_sinc_method_equals_entry_by_entry_matrix(self, n, factor):
+        x = Sequence(random_complex(n, 104 + n), sample_period=0.3)
+        m = np.arange(factor * n)
+        k = np.arange(n)
+        matrix = _sinc_lags(factor, m[:, None] - factor * k)
+        out = upsample(x, factor, "sinc").samples
+        assert np.array_equal(out, matrix @ x.samples)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n,factor", [(1, 3), (16, 2), (33, 5), (255, 4)])
+    def test_phase_zero_is_the_input_bit_for_bit(self, method, n, factor):
+        x = Sequence(random_complex(n, 105 + n), sample_period=0.3)
+        kept = np.ascontiguousarray(upsample(x, factor, method).samples[::factor])
+        assert np.array_equal(kept.view(np.uint64), x.samples.view(np.uint64))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,36 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalSpec(kind="gaussian-pulse", length=16, width=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field,fields",
+        [
+            ("seed", dict(kind="bandlimited-random", seed=np.inf)),
+            ("seed", dict(kind="bandlimited-random", seed=np.nan)),
+            ("seed", dict(kind="bandlimited-random", seed=None)),
+            ("seed", dict(kind="bandlimited-random", seed=2.5)),
+            ("seed", dict(kind="bandlimited-random", seed=True)),
+            ("seed", dict(kind="bandlimited-random", seed="3")),
+            ("harmonics", dict(kind="tone", harmonics=(np.nan,))),
+            ("harmonics", dict(kind="multitone", harmonics=(1, np.inf))),
+            ("amplitudes", dict(kind="tone", harmonics=(1,), amplitudes=(np.inf,))),
+            ("amplitudes", dict(kind="tone", harmonics=(1,), amplitudes=(complex(0, np.nan),))),
+            ("center", dict(kind="gaussian-pulse", center=np.nan)),
+            ("center", dict(kind="gaussian-pulse", center=-np.inf)),
+            ("width", dict(kind="gaussian-pulse", width=np.inf)),
+            ("width", dict(kind="gaussian-pulse", width=np.nan)),
+        ],
+    )
+    def test_bad_field_is_one_value_error_naming_it(self, field, fields):
+        # rejected when the spec is made, not later by generate
+        with pytest.raises(ValueError, match=field):
+            SignalSpec(length=8, **fields)
+
+    def test_negative_seed_is_valid(self):
+        spec = SignalSpec(kind="bandlimited-random", length=16, seed=-5)
+        assert spec.seed == -5
+        assert splitmix64(-5, 2) == splitmix64(2**64 - 5, 2)
+
 
 class TestGenerate:
     def test_zero_harmonic_tone_is_all_ones(self):
