@@ -13,33 +13,16 @@ import sys
 import numpy as np
 
 from . import analysis, interpolate, seqio, signals
-from .seqio import ParseError
 from .transforms import Sequence
 
 __all__ = ["main", "build_parser"]
 
 
-def _parse_int_list(text: str, flag: str):
+def _parse_list(text: str, flag: str, convert, expected: str):
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [convert(part.strip()) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str):
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated number list, got {text!r}") from None
-
-
-def _parse_complex_list(text: str, flag: str):
-    try:
-        return [complex(part.strip()) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(
-            f"{flag} expects comma-separated complex numbers like 1,0.5,0.2+0.1j, got {text!r}"
-        ) from None
+        raise ValueError(f"{flag} expects {expected}, got {text!r}") from None
 
 
 def _parse_grid(text: str):
@@ -66,9 +49,13 @@ def _cmd_gen(args) -> int:
         raise ValueError(f"--harmonics is required for kind {args.kind}")
     kwargs = {"kind": args.kind, "length": args.n, "seed": args.seed}
     if args.harmonics is not None:
-        kwargs["harmonics"] = tuple(_parse_float_list(args.harmonics, "--harmonics"))
+        kwargs["harmonics"] = tuple(
+            _parse_list(args.harmonics, "--harmonics", float, "a comma-separated number list")
+        )
     if args.amplitudes is not None:
-        kwargs["amplitudes"] = tuple(_parse_complex_list(args.amplitudes, "--amplitudes"))
+        expected = "comma-separated complex numbers like 1,0.5,0.2+0.1j"
+        amplitudes = _parse_list(args.amplitudes, "--amplitudes", complex, expected)
+        kwargs["amplitudes"] = tuple(amplitudes)
     if args.center is not None:
         kwargs["center"] = args.center
     if args.width is not None:
@@ -132,7 +119,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_kernels(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be an integer >= 1")
-    truncations = _parse_int_list(args.l, "--l")
+    truncations = _parse_list(args.l, "--l", int, "a comma-separated integer list")
     if not truncations or any(trunc < 0 for trunc in truncations):
         raise ValueError("--l expects non-negative truncations")
     grid = _parse_grid(args.grid)
@@ -157,7 +144,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = _parse_int_list(args.sizes, "--sizes")
+    sizes = _parse_list(args.sizes, "--sizes", int, "a comma-separated integer list")
     if not sizes or any(size < 1 for size in sizes):
         raise ValueError("--sizes expects positive integers")
     if args.factor < 1:
@@ -263,9 +250,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 1

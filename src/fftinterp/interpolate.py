@@ -31,9 +31,11 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .kernels import (
+    _BLOCK_ENTRIES,
     _check_integer,
     _dirichlet_lags,
-    _finite_floats,
+    _half_turns,
+    _pointwise_sum,
     _quotient,
     _sin_pi,
     _sinc_lags,
@@ -53,35 +55,8 @@ __all__ = [
 
 METHODS = ("fft", "dirichlet", "sinc")
 
-# Direct kernel summation runs in row blocks of at most this many matrix
-# entries, to bound peak memory at large N.  2**16 complex entries are 1 MB,
-# small enough to stay in a core's L2 cache while the product reads them:
-# the direct sums at N ~ 10**3 run about twice as fast as with 4e6-entry
-# blocks.  A row's sum does not depend on the block it falls in.
-_BLOCK_ENTRIES = 1 << 16
-
-
 def _check_factor(factor) -> int:
     return _check_integer(factor, "upsampling factor", 1)
-
-
-# exp(j*pi*q/2) for q = 0..3; multiplying by these is exact.
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-
-
-def _half_turns(numerator, denominator: int) -> np.ndarray:
-    """exp(j*pi*numerator/denominator) for int64 numerators.
-
-    The numerator is split in exact integer arithmetic into the nearest
-    quarter turn q and a rest of at most an eighth of a turn, so exp only
-    sees arguments in [-pi/4, pi/4] and its rounding error does not grow
-    with the numerator.  The quarter turn j**q is applied exactly.
-    """
-    numerator = np.asarray(numerator, dtype=np.int64) % (2 * denominator)
-    quarter = (4 * numerator + denominator) // (2 * denominator)
-    out = np.exp((0.5j * np.pi / denominator) * (2 * numerator - quarter * denominator))
-    out *= _QUARTER_TURNS[quarter & 3]
-    return out
 
 
 def _phase_tables(slopes, offsets, denominator: int, length: int):
@@ -145,7 +120,8 @@ def sinc_interp(x, t):
     wherever u is an exact integer, and there t = m*Ts returns x[m] bit
     for bit.  That holds when the float time arithmetic is exact, for
     example when Ts is a power of two; otherwise the rounding of u leaves
-    an error of a few ulps.
+    an error of a few ulps.  A time so far from the record that u
+    overflows float64 is one ValueError that names the time and Ts.
 
     Args:
         x: sequence with a sample period set.
@@ -157,19 +133,23 @@ def sinc_interp(x, t):
     seq = _as_sequence(x)
     if seq.sample_period is None:
         raise ValueError("sinc interpolation needs a sequence with a sample period")
-    t_arr = _finite_floats(t, "evaluation time")
     period = seq.sample_period
-    grid = period * np.arange(len(seq))
-    flat = np.atleast_1d(t_arr).ravel()
-    out = np.empty(flat.size, dtype=np.complex128)
-    rows = max(1, _BLOCK_ENTRIES // len(seq))
-    for lo in range(0, flat.size, rows):
-        hi = min(lo + rows, flat.size)
-        u = (flat[lo:hi, None] - grid) / period
-        args = _finite_floats(np.pi * u, "kernel argument")
-        out[lo:hi] = _quotient(_sin_pi(u), args) @ seq.samples
-    out = out.reshape(t_arr.shape)
-    return out if t_arr.ndim else complex(out)
+
+    def kernel(times):
+        u = (times[:, None] - grid) / period
+        args = np.pi * u
+        finite = np.isfinite(args).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"evaluation time {float(times[~finite][0])!r} is out of range for sample "
+                f"period {period!r}: (t - n*Ts)/Ts overflows float64"
+            )
+        return _quotient(_sin_pi(u), args)
+
+    # finite t and Ts can still overflow n*Ts or (t - n*Ts)/Ts; kernel names them
+    with np.errstate(over="ignore"):
+        grid = period * np.arange(len(seq))
+        return _pointwise_sum(t, "evaluation time", seq.samples, kernel)
 
 
 def dirichlet_interp_spectrum(X, w):
@@ -188,14 +168,14 @@ def dirichlet_interp_spectrum(X, w):
         Complex amplitude(s) with the shape of ``w``.
     """
     spectrum = X if isinstance(X, SpectrumSamples) else SpectrumSamples(X)
-    values = spectrum.values
     n = len(spectrum)
-    w_arr = _finite_floats(w, "frequency")
-    offsets = np.atleast_1d(w_arr).ravel()[:, None] - spectrum.grid_spacing * np.arange(n)
-    kernel = np.exp(-0.5j * (n - 1) * offsets) * dirichlet(n, offsets)
-    out = kernel @ values
-    out = out.reshape(w_arr.shape)
-    return out if w_arr.ndim else complex(out)
+    grid = spectrum.grid_spacing * np.arange(n)
+
+    def kernel(points):
+        offsets = points[:, None] - grid
+        return np.exp(-0.5j * (n - 1) * offsets) * dirichlet(n, offsets)
+
+    return _pointwise_sum(w, "frequency", spectrum.values, kernel)
 
 
 def fft_upsample(x, factor) -> Sequence:

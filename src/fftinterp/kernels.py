@@ -7,12 +7,20 @@ replicas spaced 2*pi apart and converges to it as the truncation grows; the
 convergence rate is what makes the fast FFT pipeline a good stand-in for
 ideal sinc interpolation.
 
-All kernels handle their removable singularities explicitly (sinc at 0, the
-Dirichlet kernel at multiples of 2*pi) and accept scalars or arrays of any
-shape.  The quadratic-time oracles in ``interpolate`` use private forms of
-the Dirichlet and sinc kernels at the integer lags of the refined grid,
-built from integers and a table of M sines, so they are exact to a few ulps
-for any N and exactly 0 or 1 where the kernel is.
+The kernels accept scalars or arrays of any shape and need no special
+branch at their removable singularities.  sinc is sin(w)/w, set to 1 at 0.
+The Dirichlet kernel writes w = 2*pi*(m + f) with m the nearest integer and
+takes both sines at the one reduced angle h = pi*f:
+(-1)**(m*(N-1)) * sin(N*h) / (N*sin(h)), set to the sign at h = 0.  Nothing
+cancels near the singular points, and the error is about |w|*N*eps, from
+rounding w/(2*pi).  The pointwise sums of other modules (``sinc_interp``,
+``dtft_at``, ``dirichlet_interp_spectrum``) evaluate their kernel matrix a
+block of rows at a time through ``_pointwise_sum``, so their memory is
+bounded whatever the number of points.  The quadratic-time oracles in
+``interpolate`` use private forms of the Dirichlet and sinc kernels at the
+integer lags of the refined grid, built from integers and a table of M
+sines, so they are exact to a few ulps for any N and exactly 0 or 1 where
+the kernel is.
 """
 
 import math
@@ -20,11 +28,15 @@ import numbers
 
 import numpy as np
 
-__all__ = ["sinc", "dirichlet", "psinc", "SINGULARITY_WINDOW"]
+__all__ = ["sinc", "dirichlet", "psinc"]
 
-# Half-width (radians) of the window around a removable singularity inside
-# which a 3-term Taylor expansion replaces the raw sin/sin quotient.
-SINGULARITY_WINDOW = 1e-9
+# Pointwise sums and direct kernel summation run in row blocks of at most
+# this many matrix entries, to bound peak memory at large N.  2**16 complex
+# entries are 1 MB, small enough to stay in a core's L2 cache while the
+# product reads them: the direct sums at N ~ 10**3 run about twice as fast
+# as with 4e6-entry blocks.  A row's sum does not depend on the block it
+# falls in.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _finite_floats(value, name: str) -> np.ndarray:
@@ -63,6 +75,37 @@ def _check_truncation(truncation) -> int:
     return _check_integer(truncation, "truncation", 0)
 
 
+def _pointwise(value, name: str, evaluate, scalar):
+    """``evaluate`` at every entry of the real argument ``value``, shaped like it.
+
+    ``value`` must be finite (a ValueError names it otherwise).
+    ``evaluate`` maps a flat float array to one result per entry; a scalar
+    ``value`` gets its result back as ``scalar`` (float or complex).
+    """
+    arr = _finite_floats(value, name)
+    out = evaluate(np.atleast_1d(arr).ravel()).reshape(arr.shape)
+    return out if arr.ndim else scalar(out)
+
+
+def _pointwise_sum(value, name: str, samples, kernel):
+    """sum_k kernel(p)[k] * samples[k] at every point p of ``value``, shaped like it.
+
+    ``kernel`` maps a block of points to its (points, N) kernel matrix.
+    Blocks hold at most ``_BLOCK_ENTRIES`` entries, so peak memory does not
+    grow with the number of points, and each row's sum is one
+    matrix-vector product.
+    """
+
+    def evaluate(points):
+        out = np.empty(points.size, dtype=np.complex128)
+        rows = max(1, _BLOCK_ENTRIES // samples.size)
+        for lo in range(0, points.size, rows):
+            out[lo : lo + rows] = kernel(points[lo : lo + rows]) @ samples
+        return out
+
+    return _pointwise(value, name, evaluate, complex)
+
+
 def sinc(w):
     """Unnormalized sinc: sin(w)/w, with the removable singularity at 0.
 
@@ -72,27 +115,19 @@ def sinc(w):
     Returns:
         sin(w)/w with the same shape as ``w``; exactly 1 at w = 0.
     """
-    arr = _finite_floats(w, "kernel argument")
-    flat = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(flat)
-    near = np.abs(flat) < SINGULARITY_WINDOW
-    wn = flat[near]
-    # sin(w)/w = 1 - w^2/6 + w^4/120 + O(w^6)
-    out[near] = 1.0 - wn * wn / 6.0 + wn**4 / 120.0
-    wf = flat[~near]
-    out[~near] = np.sin(wf) / wf
-    out = out.reshape(arr.shape)
-    return out if arr.ndim else float(out)
+    return _pointwise(w, "kernel argument", lambda flat: _quotient(np.sin(flat), flat), float)
 
 
 def dirichlet(order, w):
     """Dirichlet kernel of the given order: sin(N*w/2) / (N*sin(w/2)).
 
-    At w = 2*pi*m the quotient is 0/0 and the continuous extension equals
-    (-1)**(m*(N-1)); near those points the value is computed from a 3-term
-    Taylor expansion of numerator and denominator to avoid cancellation.
-    The kernel is even, 2*pi-periodic for odd N and 4*pi-periodic (with a
-    sign flip every 2*pi) for even N.
+    With w = 2*pi*(m + f), m the nearest integer, and h = pi*f in
+    [-pi/2, pi/2], the kernel is (-1)**(m*(N-1)) * sin(N*h) / (N*sin(h)).
+    Both sines see the same reduced angle, so nothing cancels near the
+    singular points w = 2*pi*m, where the value is exactly
+    (-1)**(m*(N-1)).  The rounding of w/(2*pi) bounds the error at about
+    |w|*N*eps.  The kernel is even, 2*pi-periodic for odd N and
+    4*pi-periodic (with a sign flip every 2*pi) for even N.
 
     Args:
         order: kernel order N >= 1.
@@ -102,29 +137,19 @@ def dirichlet(order, w):
         Kernel amplitude with the same shape as ``w``.
     """
     n = _check_order(order)
-    arr = _finite_floats(w, "kernel argument")
-    flat = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(flat)
 
-    cycles = np.round(flat / (2.0 * np.pi))
-    near = np.abs(flat - 2.0 * np.pi * cycles) < SINGULARITY_WINDOW
+    def evaluate(flat):
+        turns = flat / (2.0 * np.pi)
+        cycles = np.round(turns)
+        half = np.pi * (turns - cycles)
+        out = _quotient(np.sin(n * half), n * np.sin(half))
+        if n % 2 == 0:
+            # m is odd where m/2 is not a whole number: exact for any
+            # integral float, where an int64 cast of m overflows past 2**63
+            np.negative(out, out=out, where=0.5 * cycles != np.round(0.5 * cycles))
+        return out
 
-    # Limit branch: (-1)^(m(N-1)) times a ratio of Taylor series in the
-    # offset u = w - 2*pi*m; both series start at 1 so the ratio is exact at
-    # the singular point itself.
-    # The parity of m comes from the float cycle count itself: fmod is exact
-    # for any integral float, while an int64 cast overflows past 2**63.
-    odd = (n - 1) % 2 * np.fmod(cycles[near], 2.0) != 0.0
-    half = 0.5 * (flat[near] - 2.0 * np.pi * cycles[near])
-    num = 1.0 - (n * half) ** 2 / 6.0 + (n * half) ** 4 / 120.0
-    den = 1.0 - half**2 / 6.0 + half**4 / 120.0
-    out[near] = np.where(odd, -1.0, 1.0) * num / den
-
-    wf = flat[~near]
-    out[~near] = np.sin(0.5 * n * wf) / (n * np.sin(0.5 * wf))
-
-    out = out.reshape(arr.shape)
-    return out if arr.ndim else float(out)
+    return _pointwise(w, "kernel argument", evaluate, float)
 
 
 def psinc(order, truncation, w):
@@ -146,13 +171,13 @@ def psinc(order, truncation, w):
     """
     n = _check_order(order)
     reps = _check_truncation(truncation)
-    arr = _finite_floats(w, "kernel argument")
-
     shifts = np.arange(-reps, reps + 1)
     signs = 1.0 - 2.0 * (((n - 1) * shifts) & 1)
-    args = 0.5 * n * (arr[..., np.newaxis] - 2.0 * np.pi * shifts)
-    out = (signs * sinc(args)).sum(axis=-1)
-    return out if arr.ndim else float(out)
+
+    def evaluate(flat):
+        return (signs * sinc(0.5 * n * (flat[:, None] - 2.0 * np.pi * shifts))).sum(axis=-1)
+
+    return _pointwise(w, "kernel argument", evaluate, float)
 
 
 # sin(pi*h/2 + x) for h = 0..3 mod 4 is sin x, cos x, -sin x, -cos x.
@@ -178,6 +203,25 @@ def _sin_pi(u) -> np.ndarray:
 def _quotient(num, den) -> np.ndarray:
     """num/den, and 1 where den is 0: the removable singularity of both kernels."""
     return np.divide(num, den, out=np.ones(den.shape), where=den != 0)
+
+
+# exp(j*pi*q/2) for q = 0..3; multiplying by these is exact.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _half_turns(numerator, denominator: int) -> np.ndarray:
+    """exp(j*pi*numerator/denominator) for int64 numerators.
+
+    The numerator is split in exact integer arithmetic into the nearest
+    quarter turn q and a rest of at most an eighth of a turn, so exp only
+    sees arguments in [-pi/4, pi/4] and its rounding error does not grow
+    with the numerator.  The quarter turn j**q is applied exactly.
+    """
+    numerator = np.asarray(numerator, dtype=np.int64) % (2 * denominator)
+    quarter = (4 * numerator + denominator) // (2 * denominator)
+    out = np.exp((0.5j * np.pi / denominator) * (2 * numerator - quarter * denominator))
+    out *= _QUARTER_TURNS[quarter & 3]
+    return out
 
 
 def _sin_pi_lags(factor: int, lags) -> np.ndarray:

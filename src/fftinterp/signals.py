@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_integer, _finite_floats
+from .kernels import _check_integer, _finite_floats, _pointwise
 from .transforms import Sequence, _finite_vector
 
 __all__ = [
@@ -175,17 +175,19 @@ def eval_ground_truth(spec: SignalSpec, t):
     exponential directly.  Agrees with ``generate`` exactly at the
     sample points t = 0..N-1.
     """
-    t_arr = _finite_floats(t, "evaluation time")
-    flat = np.atleast_1d(t_arr).astype(float)
     if spec.kind == "gaussian-pulse":
         center, width = pulse_params(spec)
-        out = np.exp(-((flat - center) ** 2) / (2.0 * width**2)).astype(np.complex128)
+
+        def evaluate(flat):
+            return np.exp(-((flat - center) ** 2) / (2.0 * width**2)).astype(np.complex128)
+
     else:
         # exact at the integer t of the sample grid and at the dyadic t of a
         # power-of-two refinement; _refined_grid_truth covers every factor
-        out = _tone_sum(spec, flat, 1)
-    out = out.reshape(t_arr.shape)
-    return out if t_arr.ndim else complex(out)
+        def evaluate(flat):
+            return _tone_sum(spec, flat, 1)
+
+    return _pointwise(t, "evaluation time", evaluate, complex)
 
 
 def _refined_grid_truth(spec: SignalSpec, factor: int):

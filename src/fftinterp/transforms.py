@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_integer, _finite_floats
+from .kernels import _check_integer, _half_turns, _pointwise_sum
 
 __all__ = [
     "Sequence",
@@ -82,16 +82,25 @@ def _as_samples(x) -> np.ndarray:
     return _finite_vector(x, "samples")
 
 
+def _twiddles(n: int, sign: int) -> np.ndarray:
+    """exp(sign*2j*pi*k*m/N) for k, m = 0..N-1.
+
+    k*m is reduced mod N in integers, and the N distinct twiddles come from
+    ``_half_turns``, so each entry is within an ulp or so of exact for any N.
+    """
+    indices = np.arange(n)
+    return _half_turns(2 * sign * indices, n)[np.outer(indices, indices) % n]
+
+
 def dft_naive(x) -> np.ndarray:
     """Forward DFT by direct summation: X[k] = (1/N) sum_n x[n] e^{-2j pi nk/N}.
 
-    O(N^2); the reference oracle for the fast transform.
+    O(N^2); the reference oracle for the fast transform.  Its twiddles are
+    exact to about an ulp (``_twiddles``), so its error does not grow with
+    the phase k*n.
     """
     a = _as_samples(x)
-    n = a.size
-    indices = np.arange(n)
-    kernel = np.exp((-2j * np.pi / n) * np.outer(indices, indices))
-    return (kernel @ a) / n
+    return (_twiddles(a.size, -1) @ a) / a.size
 
 
 def idft_naive(X) -> np.ndarray:
@@ -100,10 +109,7 @@ def idft_naive(X) -> np.ndarray:
     Carries no normalization factor, so it inverts ``dft_naive`` exactly.
     """
     a = _as_samples(X)
-    n = a.size
-    indices = np.arange(n)
-    kernel = np.exp((2j * np.pi / n) * np.outer(indices, indices))
-    return kernel @ a
+    return _twiddles(a.size, 1) @ a
 
 
 def dft(x, n: int | None = None) -> np.ndarray:
@@ -156,9 +162,9 @@ def dtft_at(x, w):
         Complex amplitude(s) with the shape of ``w``.
     """
     a = _as_samples(x)
-    w_arr = _finite_floats(w, "frequency")
     n = a.size
-    flat = np.atleast_1d(w_arr).ravel()
-    out = np.exp(-1j * flat[:, None] * np.arange(n)) @ a / n
-    out = out.reshape(w_arr.shape)
-    return out if w_arr.ndim else complex(out)
+
+    def kernel(points):
+        return np.exp(-1j * points[:, None] * np.arange(n))
+
+    return _pointwise_sum(w, "frequency", a, kernel) / n

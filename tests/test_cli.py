@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fftinterp import interpolate
 from fftinterp.cli import main
-from fftinterp.seqio import read_sequence, write_sequence
+from fftinterp.seqio import ParseError, read_sequence, write_sequence
 from fftinterp.transforms import Sequence
 
 
@@ -265,3 +265,59 @@ def test_integer_flag_below_minimum_is_one_diagnostic(signal_file, flag, data):
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert "Traceback" not in stderr.getvalue()
+
+
+def _bad_sample_period(text):
+    try:
+        period = float(text.strip())
+    except ValueError:
+        return True
+    return not (np.isfinite(period) and period > 0)
+
+
+# printable text on one line: no control, surrogate or line/paragraph separators
+LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1, max_size=24
+)
+BAD_HEADERS = st.sampled_from(["n,re", "n,re,im,x", "t,re,im", "n;re;im", "0,1.0,0.0"]) | (
+    LINE_TEXT.filter(
+        lambda text: text.strip()
+        and not text.strip().startswith("#")
+        and [part.strip() for part in text.split(",")] != ["n", "re", "im"]
+    )
+)
+BAD_PERIODS = st.sampled_from(["", "abc", "0", "-0.0", "-1", "nan", "inf", "-inf", "1e999"]) | (
+    LINE_TEXT.filter(_bad_sample_period)
+)
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_malformed_header_or_sample_period_is_one_diagnostic(malformed_dir, data):
+    lines = ["# kind=demo", "n,re,im", "0,1.0,0.0", "1,0.5,-0.25", "2,-1.0,2.0"]
+    if data.draw(st.booleans(), label="corrupt the header"):
+        bad_line = 2
+        lines[1] = data.draw(BAD_HEADERS, label="header")
+    else:
+        bad_line = data.draw(st.integers(min_value=1, max_value=len(lines) + 1), label="line")
+        lines.insert(bad_line - 1, "# Ts=" + data.draw(BAD_PERIODS, label="Ts"))
+    text = "\n".join(lines) + "\n"
+
+    with pytest.raises(ParseError) as excinfo:
+        read_sequence(io.StringIO(text))
+    assert excinfo.value.line_number == bad_line
+    assert str(excinfo.value).startswith(f"line {bad_line}: ")
+
+    path = malformed_dir / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["upsample", "--in", str(path), "--factor", "2", "--out", str(path) + ".out"])
+    assert code == 1
+    assert stderr.getvalue().splitlines() == [f"error: {excinfo.value}"]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from fftinterp.interpolate import (
     spectrum_upsample,
     upsample,
 )
-from fftinterp.kernels import _dirichlet_lags, _sinc_lags, dirichlet
+from fftinterp.kernels import (
+    _BLOCK_ENTRIES,
+    _dirichlet_lags,
+    _quotient,
+    _sin_pi,
+    _sinc_lags,
+    dirichlet,
+)
 from fftinterp.transforms import (
     Sequence,
     SpectrumSamples,
@@ -68,6 +76,28 @@ class TestSincInterp:
         out = sinc_interp(x, np.arange(37) * period)
         assert np.array_equal(out.view(np.uint64), x.samples.view(np.uint64))
 
+    def test_equals_kernel_matrix_taken_a_block_of_rows_at_a_time(self):
+        n, period = 300, 0.37
+        x = Sequence(random_complex(n, 5), sample_period=period)
+        t = np.random.default_rng(6).uniform(-20.0, 130.0, 1000)
+        u = (t[:, None] - period * np.arange(n)) / period
+        matrix = _quotient(_sin_pi(u), np.pi * u)
+        rows = _BLOCK_ENTRIES // n
+        expected = np.concatenate(
+            [matrix[lo : lo + rows] @ x.samples for lo in range(0, t.size, rows)]
+        )
+        assert np.array_equal(sinc_interp(x, t).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("period,t", [(1e-300, 1e10), (1.0, 1.7e308), (1.7e308, 0.0)])
+    def test_time_out_of_range_is_one_value_error_naming_time_and_period(self, period, t):
+        # (t - n*Ts)/Ts, or n*Ts itself, overflows although t and Ts are finite
+        x = Sequence([1, 2, 3], sample_period=period)
+        with pytest.raises(ValueError) as excinfo:
+            sinc_interp(x, [0.0, t])
+        message = str(excinfo.value)
+        assert f"evaluation time {t!r}" in message and f"sample period {period!r}" in message
+
 
 class TestDirichletInterpSpectrum:
     def test_reproduces_grid_values(self):
@@ -92,6 +122,26 @@ class TestDirichletInterpSpectrum:
         np.testing.assert_allclose(
             dirichlet_interp_spectrum(SpectrumSamples(values), w), expected, rtol=0, atol=1e-13
         )
+
+
+@pytest.mark.parametrize("route", ["dtft_at", "dirichlet_interp_spectrum"])
+def test_pointwise_sum_memory_does_not_grow_with_points(route):
+    # the whole 20000 x 1024 kernel matrix would take about 330 MB
+    x = random_complex(1024, 8)
+    w = np.linspace(-np.pi, np.pi, 20_000)
+    spectrum = dft(x)
+    evaluate = {
+        "dtft_at": lambda: dtft_at(x, w),
+        "dirichlet_interp_spectrum": lambda: dirichlet_interp_spectrum(spectrum, w),
+    }[route]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        evaluate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 class TestPhaseTables:

@@ -1,10 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fftinterp.kernels import dirichlet, psinc, sinc
+from fftinterp.kernels import _dirichlet_lags, dirichlet, psinc, sinc
 
 
 def test_sinc_at_zero():
@@ -169,15 +170,15 @@ def test_dirichlet_sampling_property(order):
 
 
 def test_dirichlet_continuous_through_singularity():
-    # inside the Taylor window the value sits at the limit (the u^2 term is
-    # ~1e-17); just outside, the raw quotient is argument-reduction limited
+    # both sines see the one reduced angle, so the value approaches the limit
+    # smoothly: at an offset u it is 1 - (N**2 - 1)*u**2/24 away, ~1e-17 here
     for order in (4, 5):
         for cycles, base in ((0, 0.0), (1, 2 * np.pi), (-2, -4 * np.pi)):
             limit = (-1.0) ** (cycles * (order - 1))
             inside = dirichlet(order, base + 9.9e-10)
             outside = dirichlet(order, base + 1.1e-9)
             assert abs(inside - limit) < 1e-12
-            assert abs(outside - limit) < 1e-6
+            assert abs(outside - limit) < 1e-12
 
 
 def test_dirichlet_huge_argument_emits_no_warning():
@@ -187,3 +188,76 @@ def test_dirichlet_huge_argument_emits_no_warning():
         warnings.simplefilter("error")
         value = dirichlet(3, 1e300)
     assert abs(value) <= 1.0
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("w", [1e300, -1.7e308])
+def test_dirichlet_near_float_max_emits_no_warning(order, w):
+    # N*w/2, which overflows near 1.7e308, is never formed, and the parity of
+    # an even order's cycle count takes no int64 cast either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = dirichlet(order, w)
+    assert abs(value) <= 1.0
+
+
+# pi - float(pi): carries 2*pi*m below float precision
+PI_TAIL = 1.2246467991473532e-16
+
+
+def offset_quotient(order, cycles, w):
+    """The kernel at float w near 2*pi*m, from its exact offset u = w - 2*pi*m.
+
+    (-1)**(m*(N-1)) * sin(N*u/2) / (N*sin(u/2)); u is small, so both sines
+    are accurate to an ulp and nothing cancels.
+    """
+    u = float(Fraction(w) - 2 * cycles * Fraction(np.pi)) - 2 * cycles * PI_TAIL
+    sign = (-1.0) ** (cycles * (order - 1))
+    return sign if u == 0 else sign * math.sin(order * u / 2) / (order * math.sin(u / 2))
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 8, 1001])
+@pytest.mark.parametrize("cycles", [-2, -1, 1, 2, 3])
+def test_dirichlet_accurate_around_singular_points(order, cycles):
+    assert dirichlet(order, 2 * np.pi * cycles) == (-1.0) ** (cycles * (order - 1))
+    for offset in (1e-12, 1e-10, 1.1e-9, 1e-8, 1e-6, 1e-4):
+        for w in (2 * np.pi * cycles + offset, 2 * np.pi * cycles - offset):
+            assert abs(dirichlet(order, w) - offset_quotient(order, cycles, w)) < 1e-12
+
+
+@pytest.mark.parametrize("order,factor", [(3, 2), (4, 3), (8, 4), (255, 4), (1024, 2), (4097, 2)])
+def test_dirichlet_agrees_with_integer_lag_kernel(order, factor):
+    lags = np.arange(-(order * factor - 1), order * factor)
+    gap = dirichlet(order, 2 * np.pi * lags / (order * factor)) - _dirichlet_lags(order, factor, lags)
+    assert np.max(np.abs(gap)) <= 4 * order * np.finfo(float).eps
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# ordinary, tiny, subnormal and zero arguments
+ARGUMENTS = np.concatenate(
+    (
+        np.random.default_rng(21).uniform(-60.0, 60.0, 4000),
+        np.random.default_rng(22).uniform(-2e-9, 2e-9, 1000),
+        [1.1e-9, -9.9e-10, 1e-12, 2.2250738585072014e-308, 1e-310, 5e-324, -5e-324, 0.0, -0.0],
+    )
+)
+
+
+def test_sinc_is_the_plain_quotient_bit_for_bit():
+    with np.errstate(invalid="ignore"):
+        expected = np.where(ARGUMENTS == 0.0, 1.0, np.sin(ARGUMENTS) / ARGUMENTS)
+    assert np.array_equal(bits(sinc(ARGUMENTS)), bits(expected))
+    assert sinc(0.0) == 1.0 and sinc(-0.0) == 1.0
+
+
+@pytest.mark.parametrize("order,truncation", [(4, 3), (5, 0), (8, 10)])
+def test_psinc_is_the_plain_replica_sum_bit_for_bit(order, truncation):
+    shifts = np.arange(-truncation, truncation + 1)
+    args = 0.5 * order * (ARGUMENTS[:, None] - 2.0 * np.pi * shifts)
+    with np.errstate(invalid="ignore"):
+        replicas = np.where(args == 0.0, 1.0, np.sin(args) / args)
+    expected = ((-1.0) ** ((order - 1) * shifts) * replicas).sum(axis=-1)
+    assert np.array_equal(bits(psinc(order, truncation, ARGUMENTS)), bits(expected))

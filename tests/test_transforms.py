@@ -91,6 +91,15 @@ class TestNaive:
             idft_naive(dft_naive(x)), x, rtol=0, atol=1e-12 * np.abs(x).max()
         )
 
+    @pytest.mark.parametrize("n", [255, 1024])
+    def test_error_does_not_grow_with_length(self, n):
+        # twiddles from k*n reduced mod N in integers; float phases 2*pi*k*n/N
+        # read 1.0e-14 and 1.6e-13 here at N = 255
+        x = random_complex(n, 40 + n)
+        X = dft_naive(x)
+        assert np.max(np.abs(X - dft(x))) < 1e-15
+        assert np.max(np.abs(idft_naive(X) - x)) < 2e-14
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dft_naive([])
