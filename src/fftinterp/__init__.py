@@ -28,7 +28,6 @@ from .seqio import ParseError, read_sequence, write_sequence, write_table
 from .signals import KINDS, SignalSpec, eval_ground_truth, generate, splitmix64, uniform_doubles
 from .transforms import (
     Sequence,
-    SpectrumSamples,
     dft,
     dft_naive,
     dtft_at,

@@ -103,8 +103,9 @@ def kernel_discrepancy(order: int, truncations, grid: OmegaGrid):
 def compare_sequences(a, b) -> ErrorReport:
     """Element-wise |a - b| statistics; lengths must match.
 
-    Each operand is a ``Sequence``, ``SpectrumSamples`` or a finite,
-    non-empty 1-D array; anything else is a ValueError.
+    Each operand is a ``Sequence`` or a finite, non-empty 1-D array, such
+    as the spectrum ``spectrum_upsample`` returns; anything else is a
+    ValueError.
     """
     left = _as_samples(a)
     right = _as_samples(b)

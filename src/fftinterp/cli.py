@@ -109,7 +109,7 @@ def _cmd_spectrum(args) -> int:
     except MemoryError:
         raise _out_of_memory(len(x), args.factor) from None
     seqio.write_sequence(
-        Sequence(spectrum.values),
+        Sequence(spectrum),
         _open_out(args.out),
         {"M": str(args.factor), "content": "spectrum"},
     )

@@ -18,6 +18,13 @@ transform, so each of the M output phases r is one N-point inverse
 transform of the twisted input's spectrum times a phase ramp, and phase 0
 is the input itself.
 
+The three methods of ``upsample`` write the same refined grid, and
+``_refine`` is the one place that knows its layout: output m = M*q + r is
+entry (q, r) of an (N, M) array, phase 0 (m = M*q) is the input copied
+bit for bit, and a method fills only phases 1..M-1.  That holds for the
+kernel sums too, because the Dirichlet and sinc kernels are exactly 1 at
+lag 0 and exactly 0 at the other multiples of M.
+
 Note the Dirichlet interpolant is periodic and is exact only for signals
 whose harmonic content sits on the centered grid h = q - (N-1)/2,
 q = 0..N-1 (integers for odd N, half-integers for even N); in particular
@@ -26,6 +33,7 @@ it does not preserve constants off-grid for even N.
 
 import math
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -41,7 +49,7 @@ from .kernels import (
     _sinc_lags,
     dirichlet,
 )
-from .transforms import Sequence, SpectrumSamples, dft, idft
+from .transforms import Sequence, _as_samples, _finite_vector, dft, idft
 
 __all__ = [
     "METHODS",
@@ -55,8 +63,11 @@ __all__ = [
 
 METHODS = ("fft", "dirichlet", "sinc")
 
-def _check_factor(factor) -> int:
-    return _check_integer(factor, "upsampling factor", 1)
+
+def _inputs(x, factor) -> tuple[Sequence, int]:
+    """``x`` as a Sequence and ``factor`` as an int >= 1, or a ValueError naming it."""
+    seq = x if isinstance(x, Sequence) else Sequence(x)
+    return seq, _check_integer(factor, "upsampling factor", 1)
 
 
 def _phase_tables(slopes, offsets, denominator: int, length: int):
@@ -83,14 +94,6 @@ def _phase_tables(slopes, offsets, denominator: int, length: int):
         yield np.multiply.outer(row[:rows], row[rows:]).ravel()[:length]
 
 
-def _as_sequence(x) -> Sequence:
-    return x if isinstance(x, Sequence) else Sequence(x)
-
-
-def _refined_period(seq: Sequence, factor: int) -> float | None:
-    return None if seq.sample_period is None else seq.sample_period / factor
-
-
 @contextmanager
 def _overflow_guard(seq: Sequence):
     """Run a route's arithmetic and build its output, blaming overflow.
@@ -108,6 +111,26 @@ def _overflow_guard(seq: Sequence):
                 "the result overflows float64; the largest input magnitude "
                 f"(real or imaginary part) is {peak!r}"
             ) from None
+
+
+def _refine(seq: Sequence, factor: int, fill) -> Sequence:
+    """``seq`` on the M-fold refined grid, with phases 1..M-1 written by ``fill``.
+
+    The output is one M*N array viewed as an (N, M) grid whose column 0,
+    phase 0, is the input copied bit for bit.  For M > 1,
+    ``fill(samples, grid)`` writes columns 1..M-1 in place.  That step and
+    the output's finiteness check run under ``_overflow_guard``, and the
+    output carries sample period Ts/M (None stays None).
+    """
+    n = len(seq)
+    out = np.empty(factor * n, dtype=np.complex128)
+    grid = out.reshape(n, factor)
+    grid[:, 0] = seq.samples
+    with _overflow_guard(seq):
+        if factor > 1:
+            fill(seq.samples, grid)
+        period = None if seq.sample_period is None else seq.sample_period / factor
+        return Sequence(out, period)
 
 
 def sinc_interp(x, t):
@@ -130,14 +153,18 @@ def sinc_interp(x, t):
     Returns:
         Complex amplitude(s) with the shape of ``t``.
     """
-    seq = _as_sequence(x)
+    seq = x if isinstance(x, Sequence) else Sequence(x)
     if seq.sample_period is None:
         raise ValueError("sinc interpolation needs a sequence with a sample period")
     period = seq.sample_period
+    # finite t and Ts can still overflow n*Ts or (t - n*Ts)/Ts; kernel names them
+    with np.errstate(over="ignore"):
+        grid = period * np.arange(len(seq))
 
     def kernel(times):
-        u = (times[:, None] - grid) / period
-        args = np.pi * u
+        with np.errstate(over="ignore"):
+            u = (times[:, None] - grid) / period
+            args = np.pi * u
         finite = np.isfinite(args).all(axis=1)
         if not finite.all():
             raise ValueError(
@@ -146,36 +173,50 @@ def sinc_interp(x, t):
             )
         return _quotient(_sin_pi(u), args)
 
-    # finite t and Ts can still overflow n*Ts or (t - n*Ts)/Ts; kernel names them
-    with np.errstate(over="ignore"):
-        grid = period * np.arange(len(seq))
-        return _pointwise_sum(t, "evaluation time", seq.samples, kernel)
+    return _pointwise_sum(t, "evaluation time", seq.samples, kernel)
 
 
 def dirichlet_interp_spectrum(X, w):
     """Evaluate the DTFT at ``w`` from its N DFT samples.
 
     X(w) = sum_k X[k] e^{-j(N-1)(w - k*w0)/2} dirichlet(N, w - k*w0) with
-    w0 the spectrum grid spacing.  This is exact: it reproduces X[k] at the
-    grid points and equals ``dtft_at`` of the underlying time sequence
-    everywhere else.
+    w0 = 2*pi/N the spectrum grid spacing.  This is exact: it reproduces
+    X[k] at the grid points and equals ``dtft_at`` of the underlying time
+    sequence everywhere else.
 
     Args:
-        X: spectrum samples (or a plain array of DFT values).
+        X: the N DFT values, as a finite non-empty 1-D array or a Sequence.
         w: radian frequency, scalar or array; must be finite.
 
     Returns:
         Complex amplitude(s) with the shape of ``w``.
     """
-    spectrum = X if isinstance(X, SpectrumSamples) else SpectrumSamples(X)
-    n = len(spectrum)
-    grid = spectrum.grid_spacing * np.arange(n)
+    values = _as_samples(X)
+    n = values.size
+    grid = (2.0 * np.pi / n) * np.arange(n)
 
     def kernel(points):
         offsets = points[:, None] - grid
         return np.exp(-0.5j * (n - 1) * offsets) * dirichlet(n, offsets)
 
-    return _pointwise_sum(w, "frequency", spectrum.values, kernel)
+    return _pointwise_sum(w, "frequency", values, kernel)
+
+
+def _polyphase(samples, grid) -> None:
+    """Phases 1..M-1 of ``fft_upsample``: one N-point dft and M-1 N-point idfts."""
+    n, factor = grid.shape
+    # Pair r is ramp_r; pair 0 is the twist, e^{j*pi*M*(N-1)*k/(M*N)},
+    # written over the ramps' denominator.
+    phases = np.arange(factor)
+    slopes = 2 * phases
+    slopes[0] = factor * (n - 1)
+    tables = _phase_tables(slopes, -(n - 1) * phases, factor * n, n)
+    twist = next(tables)
+    spectrum = dft(samples * twist)
+    untwist = np.conj(twist, out=twist)
+    for r, ramp in enumerate(tables, start=1):
+        ramp *= spectrum
+        np.multiply(idft(ramp), untwist, out=grid[:, r])
 
 
 def fft_upsample(x, factor) -> Sequence:
@@ -199,85 +240,55 @@ def fft_upsample(x, factor) -> Sequence:
     twiddles e^{-2j*pi*(M*q + r)*n/(M*N)} = e^{-2j*pi*q*n/N} *
     e^{-2j*pi*r*n/(M*N)}, so its outputs M*q + r, for one r, are an N-point
     transform of the input times a ramp.  Phase 0 has ramp 1 and is x
-    itself, so it is copied and the M*q-th samples equal x[q] bit for bit.
-    The work is one forward and M-1 inverse N-point transforms,
-    O(MN log N), and the output is the only M*N array the call allocates.
-    The output carries sample period Ts/M.
+    itself, so it is the copy the refined grid starts from (module
+    docstring).  The work is one forward and M-1 inverse N-point
+    transforms, O(MN log N), and the output is the only M*N array the call
+    allocates.
 
     Every phase numerator is an integer reduced exactly in int64 before it
     reaches exp, and each table is the outer product of two
     ``_half_turns`` tables of about sqrt(N) entries, so the error stays at
     a few ulps for any N.
     """
-    seq = _as_sequence(x)
-    m_factor = _check_factor(factor)
-    n = len(seq)
-    total = m_factor * n
-    out = np.empty(total, dtype=np.complex128)
-    grid = out.reshape(n, m_factor)
-    grid[:, 0] = seq.samples
-    with _overflow_guard(seq):
-        if m_factor > 1:
-            # Pair r is ramp_r; pair 0 is the twist, e^{j*pi*M*(N-1)*k/(M*N)},
-            # written over the ramps' denominator.
-            phases = np.arange(m_factor)
-            slopes = 2 * phases
-            slopes[0] = m_factor * (n - 1)
-            tables = _phase_tables(slopes, -(n - 1) * phases, total, n)
-            twist = next(tables)
-            spectrum = dft(seq.samples * twist)
-            untwist = np.conj(twist, out=twist)
-            for r, ramp in enumerate(tables, start=1):
-                ramp *= spectrum
-                np.multiply(idft(ramp), untwist, out=grid[:, r])
-        return Sequence(out, _refined_period(seq, m_factor))
+    seq, m_factor = _inputs(x, factor)
+    return _refine(seq, m_factor, _polyphase)
 
 
-def _lag_sum(table, samples, factor: int) -> np.ndarray:
-    """sum_k samples[k] * table[(N-1)*M + m - M*k] for m = 0..M*N-1.
+def _lag_sum(kernel, samples, grid) -> None:
+    """Write sum_k samples[k] * kernel(m - M*k) into phases 1..M-1 of ``grid``.
 
-    ``table`` holds a kernel at the (2N-1)*M integer lags d = m - M*k, from
-    -(N-1)*M up to M*N-1, so each kernel value is evaluated once per lag
-    rather than once per (m, k) pair.  The kernel must be exactly 1 at
-    d = 0 and exactly 0 at the other multiples of M: then each output
-    m = M*q is samples[q], so phase 0 is copied and the products run over
-    the M-1 other phases only.  Each block of q values is a zero-copy
-    strided view of the table, shape (q, r, k) for r = 1..M-1 with strides
-    M*s, s and -M*s, copied in C order into one buffer that every block
-    reuses (a fresh 1 MB array per block cost about 500 page faults per
-    call at N = 380, M = 4) and taken as (q*r, N) rows of one
-    matrix-vector product.  So each row's sum is that of the matrix built
-    entry by entry, bit for bit, whatever block it falls in.  The table is
-    made complex once, so the blocks need no cast of their own.
+    ``kernel`` maps integer lags d = m - M*k to kernel values.  It is
+    evaluated once at each of the (2N-1)*M lags from -(N-1)*M up to
+    M*N-1, not once per (m, k) pair, and must be exactly 0 at the nonzero
+    multiples of M, so the phase-0 copy is the exact sum there.  Each
+    block of q values is a zero-copy strided view of that table, shape
+    (q, r, k) for r = 1..M-1 with strides M*s, s and -M*s, copied in C
+    order into one buffer that every block reuses (a fresh 1 MB array per
+    block cost about 500 page faults per call at N = 380, M = 4) and taken
+    as (q*r, N) rows of one matrix-vector product.  So each row's sum is
+    that of the matrix built entry by entry, bit for bit, whatever block
+    it falls in.  The table is made complex once, so the blocks need no
+    cast of their own.
     """
-    n = samples.size
-    out = np.empty((n, factor), dtype=np.complex128)
-    out[:, 0] = samples
-    if factor > 1:
-        table = np.asarray(table, dtype=np.complex128)
-        step = table.strides[0]
-        phases = factor - 1
-        rows = max(1, _BLOCK_ENTRIES // (phases * n))
-        buffer = np.empty((min(rows, n), phases, n), dtype=np.complex128)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            block = buffer[: hi - lo]
-            np.copyto(
-                block,
-                as_strided(
-                    table[(n - 1 + lo) * factor + 1 :],
-                    shape=block.shape,
-                    strides=(factor * step, step, -factor * step),
-                    writeable=False,
-                ),
-            )
-            out[lo:hi, 1:] = (block.reshape(-1, n) @ samples).reshape(hi - lo, phases)
-    return out.reshape(-1)
-
-
-def _lags(n: int, factor: int) -> np.ndarray:
-    """The integer lags m - M*k of the refined grid, -(N-1)*M .. M*N-1."""
-    return np.arange(-(n - 1) * factor, factor * n)
+    n, factor = grid.shape
+    table = kernel(np.arange(-(n - 1) * factor, factor * n)).astype(np.complex128)
+    step = table.strides[0]
+    phases = factor - 1
+    rows = max(1, _BLOCK_ENTRIES // (phases * n))
+    buffer = np.empty((min(rows, n), phases, n), dtype=np.complex128)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = buffer[: hi - lo]
+        np.copyto(
+            block,
+            as_strided(
+                table[(n - 1 + lo) * factor + 1 :],
+                shape=block.shape,
+                strides=(factor * step, step, -factor * step),
+                writeable=False,
+            ),
+        )
+        grid[lo:hi, 1:] = (block.reshape(-1, n) @ samples).reshape(hi - lo, phases)
 
 
 def dirichlet_upsample_direct(x, factor) -> Sequence:
@@ -288,31 +299,27 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
     d = m - M*k, so it is evaluated (2N-1)*M times, in its integer-lag form
     sin(pi*d/M) / (N*sin(pi*d/(M*N))): the numerator from a table of M
     sines and a sign, the denominator's argument reflected to at most
-    pi/2, so the error stays at a few ulps for any N.  That kernel is
-    exactly 1 at d = 0 and exactly 0 at the other multiples of M, so phase
-    0 (m = M*q) is x itself, copied bit for bit, and the sum takes
-    N*(M-1)*N multiply-adds over the other phases.  The output equals the
-    entry-by-entry matrix of that kernel times x, bit for bit.  The kernel
-    is real, so real inputs stay exactly real.
+    pi/2, so the error stays at a few ulps for any N.  Phase 0 is the
+    input (module docstring), and the sum takes N*(M-1)*N multiply-adds
+    over the other phases.  The output equals the entry-by-entry matrix of
+    that kernel times x, bit for bit.  The kernel is real, so real inputs
+    stay exactly real.
     """
-    seq = _as_sequence(x)
-    m_factor = _check_factor(factor)
-    n = len(seq)
-    table = _dirichlet_lags(n, m_factor, _lags(n, m_factor))
-    with _overflow_guard(seq):
-        return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
+    seq, m_factor = _inputs(x, factor)
+    kernel = partial(_dirichlet_lags, len(seq), m_factor)
+    return _refine(seq, m_factor, partial(_lag_sum, kernel))
 
 
-def spectrum_upsample(x, factor) -> SpectrumSamples:
+def spectrum_upsample(x, factor) -> np.ndarray:
     """Frequency-domain upsampling: forward transform of the zero-padded input.
 
-    The M*N output values sample the same normalized DTFT on an M-times
-    denser grid, so M*N*values[M*k] = N*dft(x)[k] at the shared points.
+    Returns the M*N values ``dft(x, M*N)`` as a finite complex array.  They
+    sample the same normalized DTFT on an M-times denser grid, spacing
+    2*pi/(M*N), so M*N*values[M*k] = N*dft(x)[k] at the shared points.
     """
-    seq = _as_sequence(x)
-    m_factor = _check_factor(factor)
+    seq, m_factor = _inputs(x, factor)
     with _overflow_guard(seq):
-        return SpectrumSamples(dft(seq.samples, m_factor * len(seq)))
+        return _finite_vector(dft(seq.samples, m_factor * len(seq)), "spectrum")
 
 
 def upsample(x, factor, method: str = "fft") -> Sequence:
@@ -322,23 +329,19 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
     The ``sinc`` route is ``sinc_interp`` on the refined grid, as a direct
     O(N*MN) sum: its kernel sinc(pi*d/M) depends only on the lag
     d = m - M*k, so it is evaluated (2N-1)*M times, with sin(pi*d/M) taken
-    from a table of M sines and a sign.  The kernel is exactly 1 at d = 0
-    and exactly 0 at the other multiples of M, so phase 0 is x, copied bit
-    for bit, and the sum takes N*(M-1)*N multiply-adds over the other
+    from a table of M sines and a sign.  Phase 0 is the input (module
+    docstring), and the sum takes N*(M-1)*N multiply-adds over the other
     phases.  For Ts = 1 and M a power of two every kernel value is the one
     ``sinc_interp`` computes, so the outputs agree bit for bit; otherwise
     they differ by rounding in the time arithmetic.
     """
-    seq = _as_sequence(x)
-    m_factor = _check_factor(factor)
+    seq, m_factor = _inputs(x, factor)
     if method == "fft":
         return fft_upsample(seq, m_factor)
     if method == "dirichlet":
         return dirichlet_upsample_direct(seq, m_factor)
-    if method == "sinc":
-        if seq.sample_period is None:
-            raise ValueError("sinc interpolation needs a sequence with a sample period")
-        table = _sinc_lags(m_factor, _lags(len(seq), m_factor))
-        with _overflow_guard(seq):
-            return Sequence(_lag_sum(table, seq.samples, m_factor), _refined_period(seq, m_factor))
-    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method != "sinc":
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if seq.sample_period is None:
+        raise ValueError("sinc interpolation needs a sequence with a sample period")
+    return _refine(seq, m_factor, partial(_lag_sum, partial(_sinc_lags, m_factor)))

@@ -67,23 +67,23 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _check_order(order) -> int:
-    return _check_integer(order, "kernel order", 1)
-
-
-def _check_truncation(truncation) -> int:
-    return _check_integer(truncation, "truncation", 0)
-
-
 def _pointwise(value, name: str, evaluate, scalar):
     """``evaluate`` at every entry of the real argument ``value``, shaped like it.
 
     ``value`` must be finite (a ValueError names it otherwise).
     ``evaluate`` maps a flat float array to one result per entry; a scalar
-    ``value`` gets its result back as ``scalar`` (float or complex).
+    ``value`` gets its result back as ``scalar`` (float or complex).  A
+    finite argument so large that the evaluation overflows float64 is one
+    ValueError naming the argument of largest magnitude, not a warning.
     """
     arr = _finite_floats(value, name)
-    out = evaluate(np.atleast_1d(arr).ravel()).reshape(arr.shape)
+    flat = np.atleast_1d(arr).ravel()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = evaluate(flat).reshape(arr.shape)
+    except FloatingPointError:
+        peak = float(flat[np.argmax(np.abs(flat))])
+        raise ValueError(f"the result overflows float64 at {name} {peak!r}") from None
     return out if arr.ndim else scalar(out)
 
 
@@ -136,7 +136,7 @@ def dirichlet(order, w):
     Returns:
         Kernel amplitude with the same shape as ``w``.
     """
-    n = _check_order(order)
+    n = _check_integer(order, "kernel order", 1)
 
     def evaluate(flat):
         turns = flat / (2.0 * np.pi)
@@ -169,8 +169,8 @@ def psinc(order, truncation, w):
     Returns:
         Kernel amplitude with the same shape as ``w``.
     """
-    n = _check_order(order)
-    reps = _check_truncation(truncation)
+    n = _check_integer(order, "kernel order", 1)
+    reps = _check_integer(truncation, "truncation", 0)
     shifts = np.arange(-reps, reps + 1)
     signs = 1.0 - 2.0 * (((n - 1) * shifts) & 1)
 

@@ -17,7 +17,6 @@ from .kernels import _check_integer, _half_turns, _pointwise_sum
 
 __all__ = [
     "Sequence",
-    "SpectrumSamples",
     "dft_naive",
     "idft_naive",
     "dft",
@@ -56,30 +55,8 @@ class Sequence:
         return self.samples.size
 
 
-@dataclass(eq=False)
-class SpectrumSamples:
-    """Ordered DFT values on the uniform grid w_k = k * grid_spacing."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _finite_vector(self.values, "values")
-
-    @property
-    def grid_spacing(self) -> float:
-        """Frequency grid spacing 2*pi/N implied by the number of values."""
-        return 2.0 * np.pi / self.values.size
-
-    def __len__(self):
-        return self.values.size
-
-
 def _as_samples(x) -> np.ndarray:
-    if isinstance(x, Sequence):
-        return x.samples
-    if isinstance(x, SpectrumSamples):
-        return x.values
-    return _finite_vector(x, "samples")
+    return x.samples if isinstance(x, Sequence) else _finite_vector(x, "samples")
 
 
 def _twiddles(n: int, sign: int) -> np.ndarray:

@@ -1,11 +1,15 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fftinterp.interpolate import dirichlet_interp_spectrum
 from fftinterp.kernels import _dirichlet_lags, dirichlet, psinc, sinc
+from fftinterp.signals import SignalSpec, eval_ground_truth
+from fftinterp.transforms import dtft_at
 
 
 def test_sinc_at_zero():
@@ -199,6 +203,34 @@ def test_dirichlet_near_float_max_emits_no_warning(order, w):
         warnings.simplefilter("error")
         value = dirichlet(order, w)
     assert abs(value) <= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "evaluate,name,value",
+    [
+        (lambda v: psinc(4, 2, v), "kernel argument", 1e308),
+        (lambda v: dtft_at([1, 2, 3], v), "frequency", 1e308),
+        (lambda v: dirichlet_interp_spectrum([1, 2, 3, 4, 5], v), "frequency", 1e308),
+        (
+            lambda v: eval_ground_truth(SignalSpec(kind="tone", length=8, harmonics=(1,)), v),
+            "evaluation time",
+            1e308,
+        ),
+        (
+            lambda v: eval_ground_truth(SignalSpec(kind="gaussian-pulse", length=8), v),
+            "evaluation time",
+            1e200,
+        ),
+    ],
+    ids=["psinc", "dtft_at", "dirichlet_interp_spectrum", "tone", "gaussian-pulse"],
+)
+def test_huge_finite_argument_is_one_value_error_naming_it(evaluate, name, value):
+    # the argument is finite, but the arithmetic on it overflows float64
+    with pytest.raises(ValueError, match=re.escape(f"overflows float64 at {name} {value!r}")):
+        evaluate(value)
+    with pytest.raises(ValueError, match=re.escape(f"{name} {-value!r}")):
+        evaluate([0.0, -value])
 
 
 # pi - float(pi): carries 2*pi*m below float precision

@@ -6,7 +6,6 @@ import pytest
 from fftinterp.kernels import dirichlet
 from fftinterp.transforms import (
     Sequence,
-    SpectrumSamples,
     dft,
     dft_naive,
     dtft_at,
@@ -43,14 +42,6 @@ class TestContainers:
             Sequence([1.0], sample_period=0.0)
         with pytest.raises(ValueError):
             Sequence([1.0], sample_period=-1.0)
-
-    def test_spectrum_grid_spacing(self):
-        spectrum = SpectrumSamples(np.ones(16))
-        assert abs(spectrum.grid_spacing * len(spectrum) - 2 * np.pi) < 1e-12
-
-    def test_spectrum_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SpectrumSamples([])
 
 
 class TestNaive:
