@@ -7,7 +7,6 @@ from .analysis import (
     KERNEL_COLUMNS,
     ErrorReport,
     MethodStudy,
-    OmegaGrid,
     bench_methods,
     compare_sequences,
     kernel_discrepancy,

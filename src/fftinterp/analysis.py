@@ -13,7 +13,6 @@ from .transforms import _as_samples
 
 __all__ = [
     "ErrorReport",
-    "OmegaGrid",
     "MethodStudy",
     "KERNEL_COLUMNS",
     "BENCH_COLUMNS",
@@ -55,47 +54,24 @@ class ErrorReport:
         return cls(max_abs=max_abs, rms=rms, max_db=to_db(max_abs), argmax_index=index)
 
 
-@dataclass(eq=False, frozen=True)
-class OmegaGrid:
-    """Strictly increasing radian grid remembered with its build descriptor."""
+def kernel_discrepancy(order: int, truncations, omegas):
+    """Tabulate dirichlet vs psinc at each omega, one row per (omega, L).
 
-    points: np.ndarray
-    descriptor: tuple
-
-    def __post_init__(self):
-        points = _finite_floats(self.points, "grid points")
-        if points.ndim != 1 or points.size < 2:
-            raise ValueError("a grid needs at least two points")
-        if not np.all(np.diff(points) > 0):
-            raise ValueError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "descriptor", tuple(self.descriptor))
-
-    @classmethod
-    def linspace(cls, start: float, stop: float, count: int) -> "OmegaGrid":
-        count = _check_integer(count, "grid count", 2)
-        start, stop = _finite_floats((start, stop), "grid bounds")
-        if not stop > start:
-            raise ValueError("grid stop must exceed start")
-        return cls(np.linspace(start, stop, count), (float(start), float(stop), count))
-
-    def __len__(self):
-        return self.points.size
-
-
-def kernel_discrepancy(order: int, truncations, grid: OmegaGrid):
-    """Tabulate dirichlet vs psinc over a grid, one row per (omega, L).
-
-    Rows are (omega, truncation, dirichlet, psinc, discrepancy_db) with
-    discrepancy_db = 20*lg|dirichlet - psinc| (-inf where the two agree
-    exactly), grouped by truncation in the given order.  Reproducible
-    bit for bit from (order, truncations, grid descriptor).
+    ``omegas`` is any finite 1-D array of radian frequencies, such as
+    ``np.linspace(-np.pi, np.pi, 1024)``; anything else is a ValueError
+    naming it.  Rows are (omega, truncation, dirichlet, psinc,
+    discrepancy_db) with discrepancy_db = 20*lg|dirichlet - psinc| (-inf
+    where the two agree exactly), grouped by truncation in the given order.
+    Reproducible bit for bit from (order, truncations, omegas).
     """
-    reference = dirichlet(order, grid.points)
+    omegas = _finite_floats(omegas, "omegas")
+    if omegas.ndim != 1:
+        raise ValueError(f"omegas must be a 1-D array, got shape {omegas.shape}")
+    reference = dirichlet(order, omegas)
     rows = []
     for trunc in truncations:
-        approx = psinc(order, trunc, grid.points)
-        for w, ref, app in zip(grid.points, reference, approx):
+        approx = psinc(order, trunc, omegas)
+        for w, ref, app in zip(omegas, reference, approx):
             rows.append((float(w), int(trunc), float(ref), float(app), to_db(abs(ref - app))))
     return rows
 

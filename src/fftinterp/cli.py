@@ -26,14 +26,23 @@ def _parse_list(text: str, flag: str, convert, expected: str):
 
 
 def _parse_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--grid expects START:STOP:COUNT, got {text!r}")
+    """(start, stop, count) of a --grid value, the one place a grid is checked.
+
+    0 < STOP - START < inf also refuses inf or nan bounds and a span that
+    overflows, so ``np.linspace`` of the result is finite.
+    """
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError:
-        raise ValueError(f"--grid expects START:STOP:COUNT, got {text!r}") from None
-    return analysis.OmegaGrid.linspace(start, stop, count)
+        pass
+    else:
+        if count >= 2 and 0 < stop - start < math.inf:
+            return start, stop, count
+    raise ValueError(
+        f"--grid expects START:STOP:COUNT with COUNT >= 2 and 0 < STOP - START < inf, "
+        f"got {text!r}"
+    )
 
 
 def _open_in(path: str):
@@ -47,22 +56,18 @@ def _open_out(path: str):
 def _cmd_gen(args) -> int:
     if args.kind in ("tone", "multitone") and args.harmonics is None:
         raise ValueError(f"--harmonics is required for kind {args.kind}")
-    kwargs = {"kind": args.kind, "length": args.n, "seed": args.seed}
-    if args.harmonics is not None:
-        kwargs["harmonics"] = tuple(
-            _parse_list(args.harmonics, "--harmonics", float, "a comma-separated number list")
-        )
-    if args.amplitudes is not None:
-        expected = "comma-separated complex numbers like 1,0.5,0.2+0.1j"
-        amplitudes = _parse_list(args.amplitudes, "--amplitudes", complex, expected)
-        kwargs["amplitudes"] = tuple(amplitudes)
-    if args.center is not None:
-        kwargs["center"] = args.center
-    if args.width is not None:
-        kwargs["width"] = args.width
-    if args.band is not None:
-        kwargs["band"] = args.band
-    spec = signals.SignalSpec(**kwargs)
+    numbers = "a comma-separated number list"
+    complexes = "comma-separated complex numbers like 1,0.5,0.2+0.1j"
+    spec = signals.SignalSpec(
+        kind=args.kind,
+        length=args.n,
+        harmonics=_parse_list(args.harmonics or "", "--harmonics", float, numbers),
+        amplitudes=_parse_list(args.amplitudes or "", "--amplitudes", complex, complexes),
+        center=args.center,
+        width=args.width,
+        seed=args.seed,
+        band=args.band,
+    )
     metadata = {"kind": spec.kind, "N": str(spec.length)}
     if spec.kind in ("tone", "multitone"):
         metadata["harmonics"] = ",".join(repr(h) for h in spec.harmonics)
@@ -72,9 +77,8 @@ def _cmd_gen(args) -> int:
         metadata["seed"] = str(spec.seed)
         metadata["band"] = str(spec.band)
     if spec.kind == "gaussian-pulse":
-        center, width = signals.pulse_params(spec)
-        metadata["center"] = repr(center)
-        metadata["width"] = repr(width)
+        metadata["center"] = repr(spec.center)
+        metadata["width"] = repr(spec.width)
     seqio.write_sequence(signals.generate(spec), _open_out(args.out), metadata)
     return 0
 
@@ -122,9 +126,8 @@ def _cmd_kernels(args) -> int:
     truncations = _parse_list(args.l, "--l", int, "a comma-separated integer list")
     if not truncations or any(trunc < 0 for trunc in truncations):
         raise ValueError("--l expects non-negative truncations")
-    grid = _parse_grid(args.grid)
-    rows = analysis.kernel_discrepancy(args.n, truncations, grid)
-    start, stop, count = grid.descriptor
+    start, stop, count = _parse_grid(args.grid)
+    rows = analysis.kernel_discrepancy(args.n, truncations, np.linspace(start, stop, count))
     metadata = {
         "n": str(args.n),
         "l": ",".join(str(trunc) for trunc in truncations),

@@ -40,8 +40,11 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _finite_floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array, or a ValueError naming it if not finite."""
-    arr = np.asarray(value, dtype=float)
+    """``value`` as a float array, or a ValueError naming it if not finite reals."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be finite real numbers") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr

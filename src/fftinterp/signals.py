@@ -32,7 +32,6 @@ __all__ = [
     "SignalSpec",
     "generate",
     "eval_ground_truth",
-    "pulse_params",
     "splitmix64",
     "uniform_doubles",
 ]
@@ -73,10 +72,11 @@ class SignalSpec:
       * ``bandlimited-random``: seeded complex amplitudes on the integer
         harmonics -band..band.
       * ``gaussian-pulse``: exp(-(t - center)^2 / (2*width^2)) in sample
-        units; defaults center = (N-1)/2, width = N/8.
+        units; center defaults to (N-1)/2 and width to N/8, resolved on the
+        spec when it is made.  The closed form divides by 2*width^2, which
+        must be a finite normal float64.
 
-    When ``bandlimited`` is set (the default), harmonics must satisfy
-    |h| <= (N-1)/2.
+    Harmonics must satisfy |h| <= (N-1)/2, and band must not exceed it.
     """
 
     kind: str
@@ -87,7 +87,6 @@ class SignalSpec:
     width: float | None = None
     seed: int = 0
     band: int | None = None
-    bandlimited: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,6 +98,11 @@ class SignalSpec:
         if amplitudes:
             amplitudes = tuple(_finite_vector(amplitudes, "amplitudes").tolist())
         object.__setattr__(self, "amplitudes", amplitudes)
+        if self.kind == "gaussian-pulse":
+            if self.center is None:
+                object.__setattr__(self, "center", (self.length - 1) / 2)
+            if self.width is None:
+                object.__setattr__(self, "width", self.length / 8)
         if self.center is not None:
             object.__setattr__(self, "center", float(_finite_floats(self.center, "pulse center")))
         if self.width is not None:
@@ -114,18 +118,26 @@ class SignalSpec:
         if self.kind in ("tone", "multitone"):
             if self.amplitudes and len(self.amplitudes) != len(self.harmonics):
                 raise ValueError("amplitudes must parallel harmonics")
-            if self.bandlimited and any(abs(h) > half_band for h in self.harmonics):
+            if any(abs(h) > half_band for h in self.harmonics):
                 raise ValueError(
                     f"harmonics must satisfy |h| <= {half_band} for length {self.length}"
                 )
         if self.kind == "bandlimited-random":
             limit = int(half_band)
             band = limit if self.band is None else _check_integer(self.band, "band", 0)
-            if self.bandlimited and band > half_band:
+            if band > half_band:
                 raise ValueError(f"band must lie in 0..{limit} for length {self.length}")
             object.__setattr__(self, "band", band)
-        if self.width is not None and not self.width > 0:
-            raise ValueError("pulse width must be positive")
+        if self.width is not None:
+            try:
+                spread = 2.0 * self.width**2
+            except OverflowError:
+                spread = np.inf
+            if not (self.width > 0 and np.finfo(float).tiny <= spread < np.inf):
+                raise ValueError(
+                    "pulse width must be positive, with 2*width**2 a finite normal "
+                    f"float64, got {self.width!r}"
+                )
 
 
 def _tone_table(spec: SignalSpec):
@@ -140,13 +152,6 @@ def _tone_table(spec: SignalSpec):
         im = 2.0 * np.array(draws[1::2]) - 1.0
         return harmonics, re + 1j * im
     raise ValueError(f"{spec.kind} has no harmonic table")
-
-
-def pulse_params(spec: SignalSpec):
-    """Resolved (center, width) of a gaussian-pulse spec, defaults applied."""
-    center = (spec.length - 1) / 2 if spec.center is None else float(spec.center)
-    width = spec.length / 8 if spec.width is None else float(spec.width)
-    return center, width
 
 
 def _tone_sum(spec: SignalSpec, scaled_t, scale: int):
@@ -176,10 +181,11 @@ def eval_ground_truth(spec: SignalSpec, t):
     sample points t = 0..N-1.
     """
     if spec.kind == "gaussian-pulse":
-        center, width = pulse_params(spec)
 
         def evaluate(flat):
-            return np.exp(-((flat - center) ** 2) / (2.0 * width**2)).astype(np.complex128)
+            return np.exp(
+                -((flat - spec.center) ** 2) / (2.0 * spec.width**2)
+            ).astype(np.complex128)
 
     else:
         # exact at the integer t of the sample grid and at the dyadic t of a

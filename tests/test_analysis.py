@@ -8,7 +8,6 @@ from fftinterp.analysis import (
     BENCH_COLUMNS,
     KERNEL_COLUMNS,
     ErrorReport,
-    OmegaGrid,
     bench_methods,
     compare_sequences,
     kernel_discrepancy,
@@ -71,57 +70,51 @@ class TestErrorReport:
             to_db(-1.0)
 
 
-class TestOmegaGrid:
-    def test_linspace_descriptor(self):
-        grid = OmegaGrid.linspace(-np.pi, np.pi, 16)
-        assert grid.descriptor == (-np.pi, np.pi, 16)
-        assert len(grid) == 16
-
-    def test_rejects_tiny_or_unsorted(self):
-        with pytest.raises(ValueError):
-            OmegaGrid.linspace(0.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            OmegaGrid.linspace(1.0, 0.0, 8)
-        with pytest.raises(ValueError):
-            OmegaGrid(np.array([0.0, 0.0, 1.0]), (0.0, 1.0, 3))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("start, stop", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
-    def test_non_finite_bounds_rejected(self, start, stop):
-        with pytest.raises(ValueError, match="grid bounds must be finite"):
-            OmegaGrid.linspace(start, stop, 3)
-
-
 class TestKernelDiscrepancy:
     def setup_method(self):
-        self.grid = OmegaGrid.linspace(-np.pi, np.pi, 1024)
+        self.omegas = np.linspace(-np.pi, np.pi, 1024)
 
     def test_row_shape_and_columns(self):
-        rows = kernel_discrepancy(8, [0, 2], self.grid)
+        rows = kernel_discrepancy(8, [0, 2], self.omegas)
         assert len(rows) == 2 * 1024
         assert len(rows[0]) == len(KERNEL_COLUMNS)
 
     def test_claimed_convergence_level(self):
-        rows = kernel_discrepancy(8, [10], self.grid)
+        rows = kernel_discrepancy(8, [10], self.omegas)
         assert max(row[4] for row in rows) < -55.0
 
     def test_max_discrepancy_decreases_with_truncation(self):
         maxima = []
         for trunc in (0, 2, 5, 10):
-            rows = kernel_discrepancy(8, [trunc], self.grid)
+            rows = kernel_discrepancy(8, [trunc], self.omegas)
             maxima.append(max(row[4] for row in rows))
         assert all(later < earlier for earlier, later in zip(maxima, maxima[1:]))
 
     def test_near_origin_mean_below_near_pi_mean(self):
-        rows = kernel_discrepancy(8, [2], self.grid)
+        rows = kernel_discrepancy(8, [2], self.omegas)
         near_zero = [10 ** (row[4] / 20) for row in rows if abs(row[0]) < 0.1]
         near_pi = [10 ** (row[4] / 20) for row in rows if 3.0 <= abs(row[0]) <= np.pi]
         assert np.mean(near_zero) < np.mean(near_pi)
 
     def test_bit_for_bit_reproducible(self):
-        first = kernel_discrepancy(5, [0, 3], self.grid)
-        second = kernel_discrepancy(5, [0, 3], OmegaGrid.linspace(-np.pi, np.pi, 1024))
+        first = kernel_discrepancy(5, [0, 3], self.omegas)
+        second = kernel_discrepancy(5, [0, 3], np.linspace(-np.pi, np.pi, 1024))
         assert first == second
+
+    def test_any_order_of_omegas(self):
+        # no grid structure is assumed: each row depends on its omega alone
+        omegas = np.array([2.0, -1.0, 2.0, 0.0])
+        rows = kernel_discrepancy(8, [3], omegas)
+        assert [row[0] for row in rows] == omegas.tolist()
+        assert rows[0] == rows[2]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "bad", [[0.0, np.nan], [np.inf], [[0.0, 1.0], [2.0, 3.0]], 0.5, ["a"], [1j], [[0.0], []]]
+    )
+    def test_bad_omegas_is_one_value_error_naming_it(self, bad):
+        with pytest.raises(ValueError, match="omegas"):
+            kernel_discrepancy(8, [2], bad)
 
 
 class TestUpsampleErrorStudy:
@@ -205,7 +198,6 @@ class TestBench:
 COUNT_ENTRY_POINTS = {
     "SignalSpec-length": (1, lambda v: SignalSpec(kind="tone", length=v, harmonics=(0,))),
     "SignalSpec-band": (0, lambda v: SignalSpec(kind="bandlimited-random", length=9, band=v)),
-    "OmegaGrid-linspace": (2, lambda v: OmegaGrid.linspace(0.0, 1.0, v)),
     "bench_methods-repetitions": (3, lambda v: bench_methods([8], 2, v)),
     "bench_methods-sizes": (1, lambda v: bench_methods([v], 2, 3)),
     "dft": (2, lambda v: dft([1, 2], v)),

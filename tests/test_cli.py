@@ -45,6 +45,16 @@ class TestGen:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "extra, center, width",
+        [([], "7.5", "2.0"), (["--center", "3", "--width", "0.5"], "3.0", "0.5")],
+    )
+    def test_pulse_center_and_width_recorded(self, capsys, extra, center, width):
+        code, out, _ = run(capsys, "gen", "--kind", "gaussian-pulse", "--n", "16", *extra, "--out", "-")
+        assert code == 0
+        assert f"# center={center}" in out.splitlines()
+        assert f"# width={width}" in out.splitlines()
+
     def test_bad_harmonics_list_names_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--kind", "tone", "--n", "8", "--harmonics", "one", "--out", str(tmp_path / "x.csv"))
         assert code == 1
@@ -165,6 +175,8 @@ class TestKernels:
         )
         assert code == 0
         lines = out.read_text().splitlines()
+        # the negative START reaches _parse_grid through _merge_dash_values
+        assert "# grid=-3.14159265:3.14159265:1024" in lines
         data = [line for line in lines if not line.startswith("#")]
         assert data[0] == "omega,truncation,dirichlet,psinc,discrepancy_db"
         decibels = [float(line.split(",")[4]) for line in data[1:] if line.split(",")[4]]
@@ -177,11 +189,21 @@ class TestKernels:
         header = out.read_text().splitlines()[:3]
         assert header[0] == "# n=8"
         assert header[1] == "# l=0,2,5,10,20"
+        assert header[2] == f"# grid={-np.pi!r}:{np.pi!r}:1024"
 
-    def test_bad_grid_diagnosed(self, capsys):
-        code, _, err = run(capsys, "kernels", "--grid", "0:stop:3", "--out", "-")
-        assert code == 1
-        assert "--grid" in err
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "0:stop:3", "0:1", "0:1:1", "0:1:-3", "1:0:5", "1:1:5",
+            "0:inf:3", "nan:1:3", "-1e308:1e308:3",
+        ],
+    )
+    def test_bad_grid_diagnosed(self, capsys, grid):
+        code, out, err = run(capsys, "kernels", "--grid", grid, "--out", "-")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--grid" in lines[0], lines
 
 
 class TestCompare:

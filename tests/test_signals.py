@@ -36,10 +36,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalSpec(kind="tone", length=8, harmonics=(1, 2))
 
-    def test_bandlimited_flag_rejects_out_of_band(self):
+    def test_out_of_band_harmonic_rejected(self):
         with pytest.raises(ValueError):
             SignalSpec(kind="tone", length=8, harmonics=(4,))
-        SignalSpec(kind="tone", length=8, harmonics=(4,), bandlimited=False)
         SignalSpec(kind="tone", length=8, harmonics=(3.5,))
 
     def test_unknown_kind(self):
@@ -78,12 +77,23 @@ class TestSpecValidation:
             ("center", dict(kind="gaussian-pulse", center=-np.inf)),
             ("width", dict(kind="gaussian-pulse", width=np.inf)),
             ("width", dict(kind="gaussian-pulse", width=np.nan)),
+            ("width", dict(kind="gaussian-pulse", width=1e-200)),
+            ("width", dict(kind="gaussian-pulse", width=1e-154)),
+            ("width", dict(kind="gaussian-pulse", width=1e200)),
         ],
     )
     def test_bad_field_is_one_value_error_naming_it(self, field, fields):
         # rejected when the spec is made, not later by generate
         with pytest.raises(ValueError, match=field):
             SignalSpec(length=8, **fields)
+
+    def test_pulse_defaults_resolved_on_the_spec(self):
+        assert SignalSpec(kind="gaussian-pulse", length=16).center == 7.5
+        assert SignalSpec(kind="gaussian-pulse", length=16).width == 2.0
+        spec = SignalSpec(kind="gaussian-pulse", length=16, center=3, width=1.1e-154)
+        assert (spec.center, spec.width) == (3.0, 1.1e-154)
+        tone = SignalSpec(kind="tone", length=16, harmonics=(1,))
+        assert tone.center is None and tone.width is None
 
     def test_negative_seed_is_valid(self):
         spec = SignalSpec(kind="bandlimited-random", length=16, seed=-5)
