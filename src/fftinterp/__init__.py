@@ -25,14 +25,6 @@ from .interpolate import (
 from .kernels import dirichlet, psinc, sinc
 from .seqio import ParseError, read_sequence, write_sequence, write_table
 from .signals import KINDS, SignalSpec, eval_ground_truth, generate, splitmix64, uniform_doubles
-from .transforms import (
-    Sequence,
-    dft,
-    dft_naive,
-    dtft_at,
-    idft,
-    idft_naive,
-    zero_pad,
-)
+from .transforms import Sequence, dft, dft_naive, dtft_at, idft, idft_naive
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import analysis, interpolate, seqio, signals
-from .transforms import Sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -54,7 +53,7 @@ def _open_out(path: str):
 
 
 def _cmd_gen(args) -> int:
-    if args.kind in ("tone", "multitone") and args.harmonics is None:
+    if "harmonics" in signals._KIND_FIELDS[args.kind] and args.harmonics is None:
         raise ValueError(f"--harmonics is required for kind {args.kind}")
     numbers = "a comma-separated number list"
     complexes = "comma-separated complex numbers like 1,0.5,0.2+0.1j"
@@ -69,55 +68,42 @@ def _cmd_gen(args) -> int:
         band=args.band,
     )
     metadata = {"kind": spec.kind, "N": str(spec.length)}
-    if spec.kind in ("tone", "multitone"):
-        metadata["harmonics"] = ",".join(repr(h) for h in spec.harmonics)
-        if spec.amplitudes:
-            metadata["amplitudes"] = ",".join(str(a) for a in spec.amplitudes)
-    if spec.kind == "bandlimited-random":
-        metadata["seed"] = str(spec.seed)
-        metadata["band"] = str(spec.band)
-    if spec.kind == "gaussian-pulse":
-        metadata["center"] = repr(spec.center)
-        metadata["width"] = repr(spec.width)
+    for field in signals._KIND_FIELDS[spec.kind]:
+        value = getattr(spec, field)
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        if text:
+            metadata[field] = text
     seqio.write_sequence(signals.generate(spec), _open_out(args.out), metadata)
     return 0
 
 
-def _out_of_memory(length: int, factor: int) -> MemoryError:
-    return MemoryError(
-        f"out of memory: --factor {factor} on {length} samples needs "
-        f"{factor * length} refined samples"
-    )
+def _refine_file(args, refine, **metadata) -> int:
+    """Write ``refine(x, --factor)`` of the ``--in`` sequence to ``--out``.
+
+    The header carries M and then ``metadata``; this is the one place the
+    factor is checked and an out-of-memory refinement is reported.
+    """
+    if args.factor < 1:
+        raise ValueError("--factor must be an integer >= 1")
+    x = seqio.read_sequence(_open_in(args.infile))
+    try:
+        refined = refine(x, args.factor)
+    except MemoryError:
+        raise MemoryError(
+            f"out of memory: --factor {args.factor} on {len(x)} samples needs "
+            f"{args.factor * len(x)} refined samples"
+        ) from None
+    seqio.write_sequence(refined, _open_out(args.out), {"M": str(args.factor), **metadata})
+    return 0
 
 
 def _cmd_upsample(args) -> int:
-    if args.factor < 1:
-        raise ValueError("--factor must be an integer >= 1")
-    x = seqio.read_sequence(_open_in(args.infile))
-    try:
-        refined = interpolate.upsample(x, args.factor, args.method)
-    except MemoryError:
-        raise _out_of_memory(len(x), args.factor) from None
-    seqio.write_sequence(
-        refined, _open_out(args.out), {"M": str(args.factor), "method": args.method}
-    )
-    return 0
+    method = args.method
+    return _refine_file(args, lambda x, m: interpolate.upsample(x, m, method), method=method)
 
 
 def _cmd_spectrum(args) -> int:
-    if args.factor < 1:
-        raise ValueError("--factor must be an integer >= 1")
-    x = seqio.read_sequence(_open_in(args.infile))
-    try:
-        spectrum = interpolate.spectrum_upsample(x, args.factor)
-    except MemoryError:
-        raise _out_of_memory(len(x), args.factor) from None
-    seqio.write_sequence(
-        Sequence(spectrum),
-        _open_out(args.out),
-        {"M": str(args.factor), "content": "spectrum"},
-    )
-    return 0
+    return _refine_file(args, interpolate.spectrum_upsample, content="spectrum")
 
 
 def _cmd_kernels(args) -> int:

@@ -20,7 +20,7 @@ random amplitudes consume two draws per harmonic, real part then imaginary
 part, each rescaled to [-1, 1), in ascending harmonic order -B..B.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,15 @@ __all__ = [
     "uniform_doubles",
 ]
 
-KINDS = ("tone", "multitone", "bandlimited-random", "gaussian-pulse")
+# kind -> the spec fields it reads besides its length, in the order
+# ``fftinterp gen`` writes them; every other field must keep its default
+_KIND_FIELDS = {
+    "tone": ("harmonics", "amplitudes"),
+    "multitone": ("harmonics", "amplitudes"),
+    "bandlimited-random": ("seed", "band"),
+    "gaussian-pulse": ("center", "width"),
+}
+KINDS = tuple(_KIND_FIELDS)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -76,7 +84,11 @@ class SignalSpec:
         spec when it is made.  The closed form divides by 2*width^2, which
         must be a finite normal float64.
 
-    Harmonics must satisfy |h| <= (N-1)/2, and band must not exceed it.
+    Each kind reads only its own fields: a tone or multitone its harmonics
+    and amplitudes, the random kind its seed and band, the pulse its center
+    and width.  Any other field away from its default is a ValueError
+    naming the field and the kind.  Harmonics must satisfy
+    |h| <= (N-1)/2, and band must not exceed it.
     """
 
     kind: str
@@ -98,37 +110,20 @@ class SignalSpec:
         if amplitudes:
             amplitudes = tuple(_finite_vector(amplitudes, "amplitudes").tolist())
         object.__setattr__(self, "amplitudes", amplitudes)
-        if self.kind == "gaussian-pulse":
-            if self.center is None:
-                object.__setattr__(self, "center", (self.length - 1) / 2)
-            if self.width is None:
-                object.__setattr__(self, "width", self.length / 8)
-        if self.center is not None:
-            object.__setattr__(self, "center", float(_finite_floats(self.center, "pulse center")))
-        if self.width is not None:
-            object.__setattr__(self, "width", float(_finite_floats(self.width, "pulse width")))
         # negative seeds are valid: the generator masks them to 64 bits
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed"))
-
-        half_band = (self.length - 1) / 2
-        if self.kind == "tone" and len(self.harmonics) != 1:
-            raise ValueError("a tone takes exactly one harmonic")
-        if self.kind == "multitone" and not self.harmonics:
-            raise ValueError("a multitone takes at least one harmonic")
-        if self.kind in ("tone", "multitone"):
-            if self.amplitudes and len(self.amplitudes) != len(self.harmonics):
-                raise ValueError("amplitudes must parallel harmonics")
-            if any(abs(h) > half_band for h in self.harmonics):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            unset = value is None if field.default is None else value == field.default
+            if field.name not in ("kind", "length", *_KIND_FIELDS[self.kind]) and not unset:
                 raise ValueError(
-                    f"harmonics must satisfy |h| <= {half_band} for length {self.length}"
+                    f"{field.name} does not apply to kind {self.kind!r}, got {value!r}"
                 )
-        if self.kind == "bandlimited-random":
-            limit = int(half_band)
-            band = limit if self.band is None else _check_integer(self.band, "band", 0)
-            if band > half_band:
-                raise ValueError(f"band must lie in 0..{limit} for length {self.length}")
-            object.__setattr__(self, "band", band)
-        if self.width is not None:
+        if self.kind == "gaussian-pulse":
+            center = (self.length - 1) / 2 if self.center is None else self.center
+            width = self.length / 8 if self.width is None else self.width
+            object.__setattr__(self, "center", float(_finite_floats(center, "pulse center")))
+            object.__setattr__(self, "width", float(_finite_floats(width, "pulse width")))
             try:
                 spread = 2.0 * self.width**2
             except OverflowError:
@@ -139,19 +134,33 @@ class SignalSpec:
                     f"float64, got {self.width!r}"
                 )
 
+        half_band = (self.length - 1) / 2
+        if self.kind == "tone" and len(self.harmonics) != 1:
+            raise ValueError("a tone takes exactly one harmonic")
+        if self.kind == "multitone" and not self.harmonics:
+            raise ValueError("a multitone takes at least one harmonic")
+        if self.amplitudes and len(self.amplitudes) != len(self.harmonics):
+            raise ValueError("amplitudes must parallel harmonics")
+        if any(abs(h) > half_band for h in self.harmonics):
+            raise ValueError(f"harmonics must satisfy |h| <= {half_band} for length {self.length}")
+        if self.kind == "bandlimited-random":
+            limit = int(half_band)
+            band = limit if self.band is None else _check_integer(self.band, "band", 0)
+            if band > half_band:
+                raise ValueError(f"band must lie in 0..{limit} for length {self.length}")
+            object.__setattr__(self, "band", band)
+
 
 def _tone_table(spec: SignalSpec):
-    """Harmonic/amplitude pairs realizing the spec's closed form."""
-    if spec.kind in ("tone", "multitone"):
-        amps = spec.amplitudes or (1.0 + 0.0j,) * len(spec.harmonics)
-        return np.array(spec.harmonics), np.array(amps)
+    """Harmonic/amplitude pairs realizing a tone-sum kind's closed form."""
     if spec.kind == "bandlimited-random":
         harmonics = np.arange(-spec.band, spec.band + 1, dtype=float)
         draws = uniform_doubles(spec.seed, 2 * harmonics.size)
         re = 2.0 * np.array(draws[0::2]) - 1.0
         im = 2.0 * np.array(draws[1::2]) - 1.0
         return harmonics, re + 1j * im
-    raise ValueError(f"{spec.kind} has no harmonic table")
+    amps = spec.amplitudes or (1.0 + 0.0j,) * len(spec.harmonics)
+    return np.array(spec.harmonics), np.array(amps)
 
 
 def _tone_sum(spec: SignalSpec, scaled_t, scale: int):
@@ -177,15 +186,17 @@ def eval_ground_truth(spec: SignalSpec, t):
 
     Tones evaluate sum_h a_h exp(2j*pi*h*t/N), with the phase 2*h*t reduced
     mod 2N half-turns before exp; the Gaussian pulse evaluates its
-    exponential directly.  Agrees with ``generate`` exactly at the
-    sample points t = 0..N-1.
+    exponential directly, and is exactly 0 where the exponent overflows.
+    Agrees with ``generate`` exactly at the sample points t = 0..N-1.
     """
     if spec.kind == "gaussian-pulse":
 
         def evaluate(flat):
-            return np.exp(
-                -((flat - spec.center) ** 2) / (2.0 * spec.width**2)
-            ).astype(np.complex128)
+            # far from the center the exponent overflows to -inf, and exp
+            # gives the exact 0 there
+            with np.errstate(over="ignore"):
+                exponent = -((flat - spec.center) ** 2) / (2.0 * spec.width**2)
+            return np.exp(exponent).astype(np.complex128)
 
     else:
         # exact at the integer t of the sample grid and at the dyadic t of a

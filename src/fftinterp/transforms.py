@@ -21,7 +21,6 @@ __all__ = [
     "idft_naive",
     "dft",
     "idft",
-    "zero_pad",
     "dtft_at",
 ]
 
@@ -93,9 +92,11 @@ def dft(x, n: int | None = None) -> np.ndarray:
     """Fast forward transform with the 1/N factor; matches ``dft_naive``.
 
     numpy's pocketfft under ``norm="forward"``, which is exactly this
-    module's convention, so the cost is O(N log N) for every N.  Given ``n``,
-    it returns ``dft(zero_pad(x, n))`` without building the padded copy:
-    pocketfft pads while it copies the input into its output.
+    module's convention, so the cost is O(N log N) for every N.  Given ``n``
+    (at least the input length), it transforms the input extended with
+    trailing zeros to ``n`` samples, 1/n included, which gives
+    (N/n) * dtft_at(x, 2*pi*k/n) on the denser grid.  pocketfft pads while
+    it copies the input, so no padded copy is built.
     """
     a = _as_samples(x)
     if n is not None:
@@ -106,22 +107,6 @@ def dft(x, n: int | None = None) -> np.ndarray:
 def idft(X) -> np.ndarray:
     """Fast unnormalized inverse transform; matches ``idft_naive``."""
     return np.fft.ifft(_as_samples(X), norm="forward")
-
-
-def zero_pad(x, new_length: int):
-    """Extend a sequence with trailing zeros to ``new_length`` samples.
-
-    A ``Sequence`` keeps its sample period; plain arrays come back as plain
-    arrays.  ``new_length`` below the current length is a domain error.
-    """
-    if isinstance(x, Sequence):
-        padded = zero_pad(x.samples, new_length)
-        return Sequence(padded, x.sample_period)
-    a = _as_samples(x)
-    n = _check_integer(new_length, "new length", a.size)
-    out = np.zeros(n, dtype=np.complex128)
-    out[: a.size] = a
-    return out
 
 
 def dtft_at(x, w):

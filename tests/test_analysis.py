@@ -16,7 +16,7 @@ from fftinterp.analysis import (
 )
 from fftinterp.interpolate import dirichlet_upsample_direct, fft_upsample
 from fftinterp.signals import SignalSpec, splitmix64
-from fftinterp.transforms import dft, zero_pad
+from fftinterp.transforms import dft
 
 
 def random_complex(n, seed):
@@ -201,7 +201,6 @@ COUNT_ENTRY_POINTS = {
     "bench_methods-repetitions": (3, lambda v: bench_methods([8], 2, v)),
     "bench_methods-sizes": (1, lambda v: bench_methods([v], 2, 3)),
     "dft": (2, lambda v: dft([1, 2], v)),
-    "zero_pad": (2, lambda v: zero_pad([1, 2], v)),
     "splitmix64-count": (0, lambda v: splitmix64(0, v)),
     "upsample_error_study": (
         2,

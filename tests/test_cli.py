@@ -55,6 +55,56 @@ class TestGen:
         assert f"# center={center}" in out.splitlines()
         assert f"# width={width}" in out.splitlines()
 
+    # gen's header bytes for every kind, with and without optional fields
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["tone", "--n", "8", "--harmonics", "1"], ["kind=tone", "N=8", "harmonics=1.0"]),
+            (
+                ["tone", "--n", "8", "--harmonics", "1", "--amplitudes", "0.5-0.25j"],
+                ["kind=tone", "N=8", "harmonics=1.0", "amplitudes=(0.5-0.25j)"],
+            ),
+            (
+                ["multitone", "--n", "15", "--harmonics", "-4,-0.5,3"],
+                ["kind=multitone", "N=15", "harmonics=-4.0,-0.5,3.0"],
+            ),
+            (
+                ["multitone", "--n", "15", "--harmonics", "-4,-0.5,3", "--amplitudes", "1,-2j,0.25+0.1j"],
+                ["kind=multitone", "N=15", "harmonics=-4.0,-0.5,3.0", "amplitudes=(1+0j),-2j,(0.25+0.1j)"],
+            ),
+            (["bandlimited-random", "--n", "16"], ["kind=bandlimited-random", "N=16", "seed=0", "band=7"]),
+            (
+                ["bandlimited-random", "--n", "16", "--seed", "-7", "--band", "5"],
+                ["kind=bandlimited-random", "N=16", "seed=-7", "band=5"],
+            ),
+            (["gaussian-pulse", "--n", "16"], ["kind=gaussian-pulse", "N=16", "center=7.5", "width=2.0"]),
+            (
+                ["gaussian-pulse", "--n", "16", "--center", "-2.5", "--width", "0.75"],
+                ["kind=gaussian-pulse", "N=16", "center=-2.5", "width=0.75"],
+            ),
+        ],
+    )
+    def test_header_lines_pinned(self, capsys, argv, header):
+        code, out, err = run(capsys, "gen", "--kind", *argv, "--out", "-")
+        assert code == 0 and err == ""
+        comments = [line for line in out.splitlines() if line.startswith("#")]
+        assert comments == ["# Ts=1.0"] + [f"# {line}" for line in header]
+
+    @pytest.mark.parametrize("extra", [[], ["--seed", "4"]])
+    def test_foreign_field_is_one_diagnostic(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "gen", "--kind", "tone", "--n", "8", "--harmonics", "1", "--band", "99", *extra, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrow_pulse_is_zero_off_center(self, capsys):
+        # at t = 7, (t - center)**2 / (2*width**2) overflows; the value is 0
+        code, out, err = run(capsys, "gen", "--kind", "gaussian-pulse", "--n", "8", "--width", "1.1e-154", "--out", "-")
+        assert code == 0 and err == ""
+        assert read_sequence(io.StringIO(out)).samples.tolist() == [0j] * 8
+
     def test_bad_harmonics_list_names_flag(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--kind", "tone", "--n", "8", "--harmonics", "one", "--out", str(tmp_path / "x.csv"))
         assert code == 1

@@ -1,4 +1,5 @@
 import cmath
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -99,6 +100,48 @@ class TestSpecValidation:
         spec = SignalSpec(kind="bandlimited-random", length=16, seed=-5)
         assert spec.seed == -5
         assert splitmix64(-5, 2) == splitmix64(2**64 - 5, 2)
+
+
+# One value away from the default for each field a kind may not read.
+FOREIGN_VALUES = {
+    "harmonics": (1,),
+    "amplitudes": (0.5,),
+    "center": 5,
+    "width": 1.5,
+    "seed": 4,
+    "band": 99,
+}
+# The fields each kind reads besides its length.
+READS = {
+    "tone": ("harmonics", "amplitudes"),
+    "multitone": ("harmonics", "amplitudes"),
+    "bandlimited-random": ("seed", "band"),
+    "gaussian-pulse": ("center", "width"),
+}
+# What each kind needs besides the field under test.
+OWN_FIELDS = {"tone": {"harmonics": (1,)}, "multitone": {"harmonics": (1, 2)}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [
+        (kind, field.name, FOREIGN_VALUES[field.name])
+        for kind in READS
+        for field in fields(SignalSpec)
+        if field.name not in ("kind", "length", *READS[kind])
+    ]
+    # arrays too: the check never asks numpy for the truth value of an array
+    + [
+        ("tone", "center", np.array([1.0, 2.0])),
+        ("gaussian-pulse", "band", np.array([1, 2])),
+        ("bandlimited-random", "harmonics", np.array([1.0, 2.0])),
+    ],
+)
+def test_foreign_field_is_one_value_error_naming_it(kind, field, value):
+    with pytest.raises(ValueError, match=f"^{field} does not apply to kind '{kind}', got "):
+        SignalSpec(kind=kind, length=8, **OWN_FIELDS.get(kind, {}), **{field: value})
+
 
 
 class TestGenerate:
