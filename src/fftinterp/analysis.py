@@ -45,12 +45,26 @@ class ErrorReport:
 
     @classmethod
     def from_difference(cls, diff) -> "ErrorReport":
-        mags = np.abs(np.asarray(diff, dtype=np.complex128))
+        """Statistics of a non-empty difference of finite values.
+
+        A non-finite entry can only be a difference that overflowed, and
+        is one ValueError that says so.  rms is taken on the magnitudes
+        divided by the largest power of two at or below the largest (0.5
+        when all are 0), so every square is below 4 and none overflows.
+        The scaling is exact, so the result is bit for bit
+        sqrt(mean(|d|**2)) wherever those squares neither overflow nor
+        underflow.
+        """
+        with np.errstate(over="ignore"):
+            mags = np.abs(np.asarray(diff, dtype=np.complex128))
         if mags.size == 0:
             raise ValueError("cannot report on an empty difference")
         index = int(np.argmax(mags))
         max_abs = float(mags[index])
-        rms = float(np.sqrt(np.mean(mags**2)))
+        if not math.isfinite(max_abs):
+            raise ValueError(f"the difference overflows float64 at index {index}")
+        scale = 2.0 ** (math.frexp(max_abs)[1] - 1)
+        rms = scale * float(np.sqrt(np.mean((mags / scale) ** 2)))
         return cls(max_abs=max_abs, rms=rms, max_db=to_db(max_abs), argmax_index=index)
 
 
@@ -87,7 +101,9 @@ def compare_sequences(a, b) -> ErrorReport:
     right = _as_samples(b)
     if left.size != right.size:
         raise ValueError(f"sequence lengths differ: {left.size} vs {right.size}")
-    return ErrorReport.from_difference(left - right)
+    with np.errstate(over="ignore"):
+        diff = left - right
+    return ErrorReport.from_difference(diff)
 
 
 @dataclass(frozen=True)

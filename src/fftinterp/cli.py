@@ -127,8 +127,7 @@ def _cmd_compare(args) -> int:
     left = seqio.read_sequence(_open_in(args.a))
     right = seqio.read_sequence(_open_in(args.b))
     report = analysis.compare_sequences(left, right)
-    max_db = "-inf" if math.isinf(report.max_db) else repr(report.max_db)
-    print(f"maxAbs={report.max_abs!r} rms={report.rms!r} maxDb={max_db}")
+    print(f"maxAbs={report.max_abs!r} rms={report.rms!r} maxDb={report.max_db!r}")
     return 0
 
 
@@ -208,29 +207,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags whose values legitimately start with a dash (negative grid bounds,
-# negative harmonics); merged into --flag=value form so argparse does not
-# mistake the value for an option.
-_DASH_VALUE_FLAGS = ("--grid", "--harmonics", "--amplitudes", "--center")
-
-
 def _merge_dash_values(argv):
+    """``argv`` with each ``--flag -value`` written as ``--flag=-value``.
+
+    argparse takes a token that starts with one dash for an option, so a
+    negative number, list or grid bound would never reach its own check.
+    The only single-dash option of this CLI is ``-h``, so any other token
+    with exactly one leading dash after a ``--flag`` is its value; ``-``
+    alone stays the standard-stream sentinel.
+    """
     merged = []
-    index = 0
-    while index < len(argv):
-        arg = argv[index]
-        follower = argv[index + 1] if index + 1 < len(argv) else None
+    for arg in argv:
+        last = merged[-1] if merged else ""
         if (
-            arg in _DASH_VALUE_FLAGS
-            and follower is not None
-            and follower.startswith("-")
-            and follower != "-"
+            last.startswith("--")
+            and "=" not in last
+            and arg.startswith("-")
+            and not arg.startswith("--")
+            and arg not in ("-", "-h")
         ):
-            merged.append(f"{arg}={follower}")
-            index += 2
+            merged[-1] = f"{last}={arg}"
         else:
             merged.append(arg)
-            index += 1
     return merged
 
 

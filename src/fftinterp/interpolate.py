@@ -36,18 +36,18 @@ from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     _BLOCK_ENTRIES,
     _check_integer,
+    _dirichlet,
     _dirichlet_lags,
     _half_turns,
     _pointwise_sum,
     _quotient,
     _sin_pi,
     _sinc_lags,
-    dirichlet,
 )
 from .transforms import Sequence, _as_samples, _finite_vector, dft, idft
 
@@ -197,7 +197,7 @@ def dirichlet_interp_spectrum(X, w):
 
     def kernel(points):
         offsets = points[:, None] - grid
-        return np.exp(-0.5j * (n - 1) * offsets) * dirichlet(n, offsets)
+        return np.exp(-0.5j * (n - 1) * offsets) * _dirichlet(n, offsets)
 
     return _pointwise_sum(w, "frequency", values, kernel)
 
@@ -260,35 +260,28 @@ def _lag_sum(kernel, samples, grid) -> None:
     ``kernel`` maps integer lags d = m - M*k to kernel values.  It is
     evaluated once at each of the (2N-1)*M lags from -(N-1)*M up to
     M*N-1, not once per (m, k) pair, and must be exactly 0 at the nonzero
-    multiples of M, so the phase-0 copy is the exact sum there.  Each
-    block of q values is a zero-copy strided view of that table, shape
-    (q, r, k) for r = 1..M-1 with strides M*s, s and -M*s, copied in C
-    order into one buffer that every block reuses (a fresh 1 MB array per
-    block cost about 500 page faults per call at N = 380, M = 4) and taken
-    as (q*r, N) rows of one matrix-vector product.  So each row's sum is
-    that of the matrix built entry by entry, bit for bit, whatever block
-    it falls in.  The table is made complex once, so the blocks need no
-    cast of their own.
+    multiples of M, so the phase-0 copy is the exact sum there.  That
+    table, as (2N-1, M) rows of M consecutive lags, has the kernel matrix
+    as a ``sliding_window_view`` of N rows, reversed: entry (q, r, k) is
+    the kernel at lag M*(q - k) + r.  Each block of q values of that view
+    is copied in C order into one buffer that every block reuses (a fresh
+    1 MB array per block cost about 500 page faults per call at N = 380,
+    M = 4) and taken as (q*r, N) rows of one matrix-vector product.  So
+    each row's sum is that of the matrix built entry by entry, bit for
+    bit, whatever block it falls in.  The table is made complex once, so
+    the blocks need no cast of their own.
     """
     n, factor = grid.shape
     table = kernel(np.arange(-(n - 1) * factor, factor * n)).astype(np.complex128)
-    step = table.strides[0]
+    matrix = sliding_window_view(table.reshape(2 * n - 1, factor), n, axis=0)[:, 1:, ::-1]
     phases = factor - 1
     rows = max(1, _BLOCK_ENTRIES // (phases * n))
     buffer = np.empty((min(rows, n), phases, n), dtype=np.complex128)
     for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = buffer[: hi - lo]
-        np.copyto(
-            block,
-            as_strided(
-                table[(n - 1 + lo) * factor + 1 :],
-                shape=block.shape,
-                strides=(factor * step, step, -factor * step),
-                writeable=False,
-            ),
-        )
-        grid[lo:hi, 1:] = (block.reshape(-1, n) @ samples).reshape(hi - lo, phases)
+        view = matrix[lo : lo + rows]
+        block = buffer[: len(view)]
+        np.copyto(block, view)
+        grid[lo : lo + rows, 1:] = (block.reshape(-1, n) @ samples).reshape(-1, phases)
 
 
 def dirichlet_upsample_direct(x, factor) -> Sequence:
@@ -319,16 +312,17 @@ def spectrum_upsample(x, factor) -> np.ndarray:
     """
     seq, m_factor = _inputs(x, factor)
     with _overflow_guard(seq):
-        return _finite_vector(dft(seq.samples, m_factor * len(seq)), "spectrum")
+        return _finite_vector(dft(seq, m_factor * len(seq)), "spectrum")
 
 
 def upsample(x, factor, method: str = "fft") -> Sequence:
     """Run one upsampling method onto the refined grid t_m = m*Ts/M.
 
-    ``fft`` and ``dirichlet`` need no sample period; ``sinc`` requires one.
-    The ``sinc`` route is ``sinc_interp`` on the refined grid, as a direct
-    O(N*MN) sum: its kernel sinc(pi*d/M) depends only on the lag
-    d = m - M*k, so it is evaluated (2N-1)*M times, with sin(pi*d/M) taken
+    The three methods take the same input, with or without a sample
+    period, and the output carries Ts/M (None stays None).  The ``sinc``
+    route is ``sinc_interp`` on the refined grid, as a direct O(N*MN) sum:
+    its kernel sinc(pi*d/M) depends only on the lag d = m - M*k, where Ts
+    cancels, so it is evaluated (2N-1)*M times, with sin(pi*d/M) taken
     from a table of M sines and a sign.  Phase 0 is the input (module
     docstring), and the sum takes N*(M-1)*N multiply-adds over the other
     phases.  For Ts = 1 and M a power of two every kernel value is the one
@@ -342,6 +336,4 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
         return dirichlet_upsample_direct(seq, m_factor)
     if method != "sinc":
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if seq.sample_period is None:
-        raise ValueError("sinc interpolation needs a sequence with a sample period")
     return _refine(seq, m_factor, partial(_lag_sum, partial(_sinc_lags, m_factor)))

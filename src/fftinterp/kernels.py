@@ -70,13 +70,14 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _pointwise(value, name: str, evaluate, scalar):
+def _pointwise(value, name: str, evaluate):
     """``evaluate`` at every entry of the real argument ``value``, shaped like it.
 
     ``value`` must be finite (a ValueError names it otherwise).
     ``evaluate`` maps a flat float array to one result per entry; a scalar
-    ``value`` gets its result back as ``scalar`` (float or complex).  A
-    finite argument so large that the evaluation overflows float64 is one
+    ``value`` gets its result back as a Python scalar, through ``item``,
+    so a float result stays a float and a complex one a complex.  A finite
+    argument so large that the evaluation overflows float64 is one
     ValueError naming the argument of largest magnitude, not a warning.
     """
     arr = _finite_floats(value, name)
@@ -87,7 +88,7 @@ def _pointwise(value, name: str, evaluate, scalar):
     except FloatingPointError:
         peak = float(flat[np.argmax(np.abs(flat))])
         raise ValueError(f"the result overflows float64 at {name} {peak!r}") from None
-    return out if arr.ndim else scalar(out)
+    return out if arr.ndim else out.item()
 
 
 def _pointwise_sum(value, name: str, samples, kernel):
@@ -106,7 +107,7 @@ def _pointwise_sum(value, name: str, samples, kernel):
             out[lo : lo + rows] = kernel(points[lo : lo + rows]) @ samples
         return out
 
-    return _pointwise(value, name, evaluate, complex)
+    return _pointwise(value, name, evaluate)
 
 
 def sinc(w):
@@ -118,7 +119,12 @@ def sinc(w):
     Returns:
         sin(w)/w with the same shape as ``w``; exactly 1 at w = 0.
     """
-    return _pointwise(w, "kernel argument", lambda flat: _quotient(np.sin(flat), flat), float)
+    return _pointwise(w, "kernel argument", _sinc)
+
+
+def _sinc(w) -> np.ndarray:
+    """``sinc`` at a finite float array ``w`` of any shape."""
+    return _quotient(np.sin(w), w)
 
 
 def dirichlet(order, w):
@@ -140,19 +146,20 @@ def dirichlet(order, w):
         Kernel amplitude with the same shape as ``w``.
     """
     n = _check_integer(order, "kernel order", 1)
+    return _pointwise(w, "kernel argument", lambda flat: _dirichlet(n, flat))
 
-    def evaluate(flat):
-        turns = flat / (2.0 * np.pi)
-        cycles = np.round(turns)
-        half = np.pi * (turns - cycles)
-        out = _quotient(np.sin(n * half), n * np.sin(half))
-        if n % 2 == 0:
-            # m is odd where m/2 is not a whole number: exact for any
-            # integral float, where an int64 cast of m overflows past 2**63
-            np.negative(out, out=out, where=0.5 * cycles != np.round(0.5 * cycles))
-        return out
 
-    return _pointwise(w, "kernel argument", evaluate, float)
+def _dirichlet(order: int, w) -> np.ndarray:
+    """``dirichlet`` of a checked order at a finite float array ``w`` of any shape."""
+    turns = w / (2.0 * np.pi)
+    cycles = np.round(turns)
+    half = np.pi * (turns - cycles)
+    out = _quotient(np.sin(order * half), order * np.sin(half))
+    if order % 2 == 0:
+        # m is odd where m/2 is not a whole number: exact for any
+        # integral float, where an int64 cast of m overflows past 2**63
+        np.negative(out, out=out, where=0.5 * cycles != np.round(0.5 * cycles))
+    return out
 
 
 def psinc(order, truncation, w):
@@ -178,9 +185,9 @@ def psinc(order, truncation, w):
     signs = 1.0 - 2.0 * (((n - 1) * shifts) & 1)
 
     def evaluate(flat):
-        return (signs * sinc(0.5 * n * (flat[:, None] - 2.0 * np.pi * shifts))).sum(axis=-1)
+        return (signs * _sinc(0.5 * n * (flat[:, None] - 2.0 * np.pi * shifts))).sum(axis=-1)
 
-    return _pointwise(w, "kernel argument", evaluate, float)
+    return _pointwise(w, "kernel argument", evaluate)
 
 
 # sin(pi*h/2 + x) for h = 0..3 mod 4 is sin x, cos x, -sin x, -cos x.

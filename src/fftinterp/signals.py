@@ -204,7 +204,7 @@ def eval_ground_truth(spec: SignalSpec, t):
         def evaluate(flat):
             return _tone_sum(spec, flat, 1)
 
-    return _pointwise(t, "evaluation time", evaluate, complex)
+    return _pointwise(t, "evaluation time", evaluate)
 
 
 def _refined_grid_truth(spec: SignalSpec, factor: int):

@@ -58,6 +58,35 @@ class TestErrorReport:
             with pytest.raises(ValueError, match="samples must"):
                 compare_sequences(a, b)
 
+    def test_empty_difference_rejected(self):
+        with pytest.raises(ValueError, match="cannot report on an empty difference"):
+            ErrorReport.from_difference([])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rms_of_large_finite_difference_does_not_overflow(self):
+        rms = ErrorReport.from_difference([2e200, 0.0]).rms
+        expected = math.sqrt(2.0) * 1e200
+        assert abs(rms - expected) <= math.ulp(expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_difference_is_one_value_error(self):
+        with pytest.raises(ValueError, match="the difference overflows float64 at index 0"):
+            compare_sequences([1.7e308], [-1.7e308])
+
+    @pytest.mark.parametrize(
+        "diff",
+        [
+            [0.1, -0.2, 0.3],
+            random_complex(64, 3),
+            1e-3 * random_complex(1000, 4),
+            [3.0 + 4.0j],
+            [1e150, 1e-150, -7.5e149j],
+        ],
+    )
+    def test_rms_equals_plain_formula_bit_for_bit(self, diff):
+        mags = np.abs(np.asarray(diff, dtype=np.complex128))
+        assert ErrorReport.from_difference(diff).rms == float(np.sqrt(np.mean(mags**2)))
+
     def test_oracle_agreement_study(self):
         x = random_complex(16, 9)
         report = compare_sequences(

@@ -266,6 +266,26 @@ class TestCompare:
         assert code == 0
         assert out.startswith("maxAbs=0.0 rms=0.0 maxDb=-inf")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_values_report_finite_rms(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_sequence(Sequence([1e200, 0.0]), a)
+        write_sequence(Sequence([-1e200, 0.0]), b)
+        code, out, err = run(capsys, "compare", "--a", str(a), "--b", str(b))
+        assert code == 0 and err == ""
+        assert out.startswith("maxAbs=2e+200 rms=1.414213562373095e+200 maxDb=4006.")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_difference_diagnosed_in_one_line(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_sequence(Sequence([1.7e308]), a)
+        write_sequence(Sequence([-1.7e308]), b)
+        code, out, err = run(capsys, "compare", "--a", str(a), "--b", str(b))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: the difference overflows float64 at index 0"]
+
     def test_length_mismatch_diagnosed(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -294,6 +314,25 @@ class TestBench:
 
 
 class TestParsing:
+    # values that start with one dash reach their own check, as do the
+    # missing-value and bad-list checks beside them
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--kind", "gaussian-pulse", "--n", "8", "--width", "-1e-3"], "pulse width must be positive"),
+            (["kernels", "--l", "-1,2"], "--l expects non-negative truncations"),
+            (["kernels", "--l", "-1"], "--l expects non-negative truncations"),
+            (["bench", "--sizes", "-5,6"], "--sizes expects positive integers"),
+            (["gen", "--kind", "tone", "--n", "8"], "--harmonics is required for kind tone"),
+        ],
+    )
+    def test_bad_value_is_one_diagnostic_from_its_own_check(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--out", "-")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+
     def test_unknown_flag_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--kind", "tone", "--n", "4", "--frequency", "1", "--out", "-"])
@@ -320,6 +359,7 @@ INTEGER_FLAGS = {
     "kernels --n": (1, lambda v, src, out: ["kernels", f"--n={v}", "--out", out]),
     "bench --reps": (3, lambda v, src, out: ["bench", "--sizes", "8", f"--reps={v}", "--out", out]),
     "bench --sizes": (1, lambda v, src, out: ["bench", f"--sizes={v}", "--out", out]),
+    "bench --factor": (1, lambda v, src, out: ["bench", "--sizes", "8", f"--factor={v}", "--out", out]),
 }
 
 

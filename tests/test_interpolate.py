@@ -459,6 +459,15 @@ class TestDispatch:
         assert np.array_equal(out, matrix @ x.samples)
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_takes_input_without_a_period(self, method):
+        # the methods work on the index grid, where Ts cancels
+        samples = random_complex(17, 106)
+        bare = upsample(Sequence(samples), 3, method)
+        unit = upsample(Sequence(samples, sample_period=1.0), 3, method)
+        assert bare.sample_period is None
+        assert np.array_equal(bare.samples.view(np.uint64), unit.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n,factor", [(1, 3), (16, 2), (33, 5), (255, 4), (7, 1), (1, 1)])
     def test_phase_zero_is_the_input_bit_for_bit(self, method, n, factor):
         x = Sequence(random_complex(n, 105 + n), sample_period=0.3)

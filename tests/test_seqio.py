@@ -47,6 +47,12 @@ class TestRoundTrip:
         assert text.splitlines()[0] == "n,re,im"
         assert len(text.splitlines()) == 3
 
+    def test_caller_ts_metadata_is_not_written_twice(self):
+        sink = StringIO()
+        write_sequence(Sequence([1.0], sample_period=0.5), sink, {"Ts": "9"})
+        ts_lines = [line for line in sink.getvalue().splitlines() if line.startswith("# Ts=")]
+        assert ts_lines == ["# Ts=0.5"]
+
     def test_deterministic_bytes(self):
         seq = Sequence(random_complex(8, 3), sample_period=2.0)
         _, first = roundtrip(seq, {"method": "fft"})
@@ -93,6 +99,10 @@ class TestReadErrors:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             read_sequence(StringIO("0,1.0,0.0\n"))
+
+    def test_only_comments_and_blank_lines_is_missing_header(self):
+        with pytest.raises(ParseError, match="missing header"):
+            read_sequence(StringIO("# kind=demo\n\n# Ts=1.0\n\n"))
 
     def test_empty_body(self):
         with pytest.raises(ParseError):

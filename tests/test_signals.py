@@ -37,6 +37,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SignalSpec(kind="tone", length=8, harmonics=(1, 2))
 
+    def test_multitone_needs_a_harmonic(self):
+        with pytest.raises(ValueError, match="a multitone takes at least one harmonic"):
+            SignalSpec(kind="multitone", length=8)
+
     def test_out_of_band_harmonic_rejected(self):
         with pytest.raises(ValueError):
             SignalSpec(kind="tone", length=8, harmonics=(4,))
