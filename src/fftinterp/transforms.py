@@ -6,9 +6,13 @@ DTFT ``dtft_at``.  ``dft_naive``/``idft_naive`` are the quadratic-time
 reference implementations kept as oracles; ``dft``/``idft`` are the fast
 O(N log N) routes for every length: numpy's pocketfft under
 ``norm="forward"``, which is this convention exactly.  Nothing is cached
-between calls.
+between calls.  Finite input whose transform overflows float64 is one
+ValueError that says so, with no RuntimeWarning.  ``_ifft`` is the raw
+inverse behind ``idft``, for callers that have validated their input and
+want the result written in place.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +31,11 @@ __all__ = [
 
 def _finite_vector(x, name: str) -> np.ndarray:
     """``x`` as a finite, non-empty 1-D complex128 array, or a ValueError naming it."""
-    arr = np.asarray(x, dtype=np.complex128)
+    arr = np.asarray(x, dtype=np.complex128, order="C")
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must form a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
+    # one real pass over the 2N parts; order="C" above makes the view valid
+    if not np.isfinite(arr.view(np.float64)).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -88,6 +93,21 @@ def idft_naive(X) -> np.ndarray:
     return _twiddles(a.size, 1) @ a
 
 
+@contextmanager
+def _transform_overflow():
+    """Turn float64 overflow inside a transform of finite input into one ValueError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError("the transform overflows float64") from None
+
+
+def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized inverse of a complex128 vector, unchecked; ``out`` may be ``a``."""
+    return np.fft.ifft(a, norm="forward", out=out)
+
+
 def dft(x, n: int | None = None) -> np.ndarray:
     """Fast forward transform with the 1/N factor; matches ``dft_naive``.
 
@@ -101,12 +121,15 @@ def dft(x, n: int | None = None) -> np.ndarray:
     a = _as_samples(x)
     if n is not None:
         n = _check_integer(n, "new length", a.size)
-    return np.fft.fft(a, n=n, norm="forward")
+    with _transform_overflow():
+        return np.fft.fft(a, n=n, norm="forward")
 
 
 def idft(X) -> np.ndarray:
     """Fast unnormalized inverse transform; matches ``idft_naive``."""
-    return np.fft.ifft(_as_samples(X), norm="forward")
+    a = _as_samples(X)
+    with _transform_overflow():
+        return _ifft(a)
 
 
 def dtft_at(x, w):

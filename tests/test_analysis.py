@@ -50,7 +50,15 @@ class TestErrorReport:
             compare_sequences(np.ones(3), np.ones(4))
 
     @pytest.mark.parametrize(
-        "bad", [np.array([1.0, np.nan]), np.array([np.inf, 0.0]), np.ones((2, 2)), []]
+        "bad",
+        [
+            np.array([1.0, np.nan]),
+            np.array([np.inf, 0.0]),
+            np.ones((2, 2)),
+            [],
+            np.array([1.0, complex(0.0, np.nan)]),
+            np.array([complex(-np.inf, 1.0), 0.0]),
+        ],
     )
     def test_non_finite_or_malformed_operand_rejected(self, bad):
         good = np.ones(np.size(bad))

@@ -1,5 +1,7 @@
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,6 +175,53 @@ class TestPhaseTables:
             assert np.abs(table - full).max() <= 1e-15
         tables[0] *= 0
         assert np.all(tables[1] != 0)
+
+
+def bits(seq):
+    return seq.samples.view(np.uint64)
+
+
+class TestPolyphaseTableCache:
+    """``fft_upsample`` keeps the phase tables of its last (N, M)."""
+
+    def test_cached_tables_are_read_only(self):
+        twist, untwist, ramps = interpolate._polyphase_tables(12, 3)
+        assert len(ramps) == 2
+        for table in (twist, untwist, *ramps):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_only_the_last_size_is_kept(self):
+        fft_upsample(random_complex(12, 1), 3)
+        fft_upsample(random_complex(7, 2), 2)
+        assert interpolate._polyphase_tables.cache_info().currsize == 1
+
+    def test_repeat_eviction_and_clear_match_first_call_bit_for_bit(self):
+        x = random_complex(33, 4)
+        interpolate._polyphase_tables.cache_clear()
+        first = bits(fft_upsample(x, 4))
+        hits = interpolate._polyphase_tables.cache_info().hits
+        np.testing.assert_array_equal(bits(fft_upsample(x, 4)), first)
+        assert interpolate._polyphase_tables.cache_info().hits == hits + 1
+        fft_upsample(random_complex(10, 5), 3)
+        np.testing.assert_array_equal(bits(fft_upsample(x, 4)), first)
+        interpolate._polyphase_tables.cache_clear()
+        np.testing.assert_array_equal(bits(fft_upsample(x, 4)), first)
+
+    def test_threads_at_alternating_sizes_match_serial(self):
+        inputs = [(random_complex(96, 17), 4), (random_complex(65, 18), 3)]
+        expected = [bits(fft_upsample(x, factor)) for x, factor in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(
+                    pool.map(lambda i: bits(fft_upsample(*inputs[i % 2])), range(64), timeout=60)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for i, result in enumerate(results):
+            np.testing.assert_array_equal(result, expected[i % 2])
 
 
 class TestFftUpsample:

@@ -36,6 +36,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             Sequence([1.0, np.inf * 1j])
 
+    def test_sequence_keeps_signed_zero_and_subnormal(self):
+        # a strided view whose skipped entry is nan: only the viewed entries count
+        samples = np.array([complex(-0.0, 5e-324), np.nan, complex(5e-324, -0.0)])[::2]
+        kept = np.ascontiguousarray(Sequence(samples).samples)
+        expected = np.ascontiguousarray(samples)
+        assert np.array_equal(kept.view(np.uint64), expected.view(np.uint64))
+
     def test_sequence_rejects_bad_period(self):
         with pytest.raises(ValueError):
             Sequence([1.0], sample_period=0.0)
@@ -153,6 +160,14 @@ class TestFast:
     def test_padded_length_rejects_shrinking_or_fraction(self, length):
         with pytest.raises(ValueError, match="new length"):
             dft([1, 2, 3], length)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "transform", [dft, idft, lambda x: dft(x, 8)], ids=["dft", "idft", "padded-dft"]
+    )
+    def test_overflow_is_one_value_error(self, transform):
+        with pytest.raises(ValueError, match="^the transform overflows float64$"):
+            transform([1.7e308] * 5)
 
 
 class TestZeroPad:
