@@ -2,6 +2,7 @@
 reports against closed-form ground truth, and wall-clock benchmarks."""
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -28,9 +29,9 @@ BENCH_COLUMNS = ("n", "method", "median_seconds")
 
 
 def to_db(amplitude: float) -> float:
-    """20*log10 of an amplitude; -inf stands in for an exact zero."""
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
+    """20*log10 of a non-negative real amplitude; -inf stands in for an exact zero."""
+    if not (isinstance(amplitude, numbers.Real) and amplitude >= 0):
+        raise ValueError(f"amplitude must be a non-negative real number, got {amplitude!r}")
     return -math.inf if amplitude == 0.0 else 20.0 * math.log10(amplitude)
 
 

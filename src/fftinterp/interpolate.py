@@ -42,10 +42,8 @@ from contextlib import contextmanager
 from functools import lru_cache, partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
-    _BLOCK_ENTRIES,
     _check_integer,
     _dirichlet,
     _dirichlet_lags,
@@ -281,28 +279,18 @@ def _lag_sum(kernel, samples, grid) -> None:
     ``kernel`` maps integer lags d = m - M*k to kernel values.  It is
     evaluated once at each of the (2N-1)*M lags from -(N-1)*M up to
     M*N-1, not once per (m, k) pair, and must be exactly 0 at the nonzero
-    multiples of M, so the phase-0 copy is the exact sum there.  That
-    table, as (2N-1, M) rows of M consecutive lags, has the kernel matrix
-    as a ``sliding_window_view`` of N rows, reversed: entry (q, r, k) is
-    the kernel at lag M*(q - k) + r.  Each block of q values of that view
-    is copied in C order into one buffer that every block reuses (a fresh
-    1 MB array per block cost about 500 page faults per call at N = 380,
-    M = 4) and taken as (q*r, N) rows of one matrix-vector product.  So
-    each row's sum is that of the matrix built entry by entry, bit for
-    bit, whatever block it falls in.  The table is made complex once, so
-    the blocks need no cast of their own.
+    multiples of M, so the phase-0 copy is the exact sum there.  As
+    (2N-1, M) rows of M consecutive lags, column r of that table holds the
+    kernel at lags M*j + r, and output M*q + r is its linear convolution
+    with the samples at q, so each phase is one ``np.convolve``, which
+    numpy computes as a direct sum with no transform.  Its summation order
+    is numpy's, so the sums agree with the entry-by-entry kernel matrix
+    times the samples to a few ulps.
     """
     n, factor = grid.shape
-    table = kernel(np.arange(-(n - 1) * factor, factor * n)).astype(np.complex128)
-    matrix = sliding_window_view(table.reshape(2 * n - 1, factor), n, axis=0)[:, 1:, ::-1]
-    phases = factor - 1
-    rows = max(1, _BLOCK_ENTRIES // (phases * n))
-    buffer = np.empty((min(rows, n), phases, n), dtype=np.complex128)
-    for lo in range(0, n, rows):
-        view = matrix[lo : lo + rows]
-        block = buffer[: len(view)]
-        np.copyto(block, view)
-        grid[lo : lo + rows, 1:] = (block.reshape(-1, n) @ samples).reshape(-1, phases)
+    table = kernel(np.arange(-(n - 1) * factor, factor * n)).reshape(2 * n - 1, factor)
+    for r in range(1, factor):
+        grid[:, r] = np.convolve(table[:, r], samples, mode="valid")
 
 
 def dirichlet_upsample_direct(x, factor) -> Sequence:
@@ -315,9 +303,10 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
     sines and a sign, the denominator's argument reflected to at most
     pi/2, so the error stays at a few ulps for any N.  Phase 0 is the
     input (module docstring), and the sum takes N*(M-1)*N multiply-adds
-    over the other phases.  The output equals the entry-by-entry matrix of
-    that kernel times x, bit for bit.  The kernel is real, so real inputs
-    stay exactly real.
+    over the other phases, one ``np.convolve`` per phase.  Its kernel
+    values are those of the entry-by-entry matrix, bit for bit, and its
+    sums agree with that matrix times x to a few ulps.  The kernel is
+    real, so real inputs stay exactly real.
     """
     seq, m_factor = _inputs(x, factor)
     kernel = partial(_dirichlet_lags, len(seq), m_factor)
@@ -346,9 +335,10 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
     cancels, so it is evaluated (2N-1)*M times, with sin(pi*d/M) taken
     from a table of M sines and a sign.  Phase 0 is the input (module
     docstring), and the sum takes N*(M-1)*N multiply-adds over the other
-    phases.  For Ts = 1 and M a power of two every kernel value is the one
-    ``sinc_interp`` computes, so the outputs agree bit for bit; otherwise
-    they differ by rounding in the time arithmetic.
+    phases, one ``np.convolve`` per phase.  For Ts = 1 and M a power of
+    two every kernel value is the one ``sinc_interp`` computes, bit for
+    bit, and the sums agree to a few ulps; otherwise the kernel values
+    also differ by rounding in the time arithmetic.
     """
     seq, m_factor = _inputs(x, factor)
     if method == "fft":

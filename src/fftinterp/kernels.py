@@ -30,11 +30,10 @@ import numpy as np
 
 __all__ = ["sinc", "dirichlet", "psinc"]
 
-# Pointwise sums and direct kernel summation run in row blocks of at most
-# this many matrix entries, to bound peak memory at large N.  2**16 complex
-# entries are 1 MB, small enough to stay in a core's L2 cache while the
-# product reads them: the direct sums at N ~ 10**3 run about twice as fast
-# as with 4e6-entry blocks.  A row's sum does not depend on the block it
+# Pointwise sums run in row blocks of at most this many kernel-matrix
+# entries, so peak memory does not grow with the number of points.  2**16
+# complex entries are 1 MB, small enough to stay in a core's L2 cache while
+# the product reads them.  A row's sum does not depend on the block it
 # falls in.
 _BLOCK_ENTRIES = 1 << 16
 

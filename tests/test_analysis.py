@@ -102,9 +102,10 @@ class TestErrorReport:
         )
         assert report.max_abs <= 1e-9
 
-    def test_to_db_rejects_negative(self):
-        with pytest.raises(ValueError):
-            to_db(-1.0)
+    @pytest.mark.parametrize("amplitude", [-1.0, float("nan"), "a", 1j, None])
+    def test_to_db_rejects_negative(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            to_db(amplitude)
 
 
 class TestKernelDiscrepancy:

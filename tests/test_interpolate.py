@@ -42,6 +42,16 @@ def random_complex(n, seed):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+# each direct oracle route, with its kernel at integer lags d as kernel(N, M, d)
+ORACLES = {
+    "dirichlet": (dirichlet_upsample_direct, _dirichlet_lags),
+    "sinc": (
+        lambda x, factor: upsample(x, factor, "sinc"),
+        lambda n, factor, d: _sinc_lags(factor, d),
+    ),
+}
+
+
 class TestSincInterp:
     def test_single_term_analytic(self):
         x = Sequence([1, 0, 0, 0], sample_period=1.0)
@@ -147,6 +157,21 @@ def test_pointwise_sum_memory_does_not_grow_with_points(route):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("route", sorted(ORACLES))
+def test_oracle_memory_stays_linear_in_output(route):
+    # the whole N x MN kernel matrix would take 1.07 GB
+    x = random_complex(4096, 77)
+    oracle = ORACLES[route][0]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        oracle(x, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 class TestPhaseTables:
@@ -376,22 +401,8 @@ class TestDirichletUpsampleDirect:
         with pytest.raises(ValueError):
             dirichlet_upsample_direct(np.ones(4), -2)
 
-    @pytest.mark.parametrize(
-        "n,factor", [(1, 1), (2, 3), (9, 4), (64, 2), (255, 4), (10, 3), (33, 5)]
-    )
-    def test_equals_entry_by_entry_matrix(self, n, factor):
-        # the lag table holds the same float expression as each matrix
-        # entry, and the skipped phase-0 rows are exact identity rows, so
-        # the sums agree bit for bit
-        x = random_complex(n, 73 + n)
-        m = np.arange(factor * n)
-        k = np.arange(n)
-        matrix = _dirichlet_lags(n, factor, m[:, None] - factor * k)
-        out = dirichlet_upsample_direct(x, factor).samples
-        assert np.array_equal(out, matrix @ x)
-
-    def test_several_row_blocks_match_fast_path(self):
-        # N*MN = 4.5e6 entries, spread over many row blocks
+    def test_large_record_matches_fast_path(self):
+        # N*MN = 4.5e6 kernel entries, summed one output phase at a time
         x = random_complex(1500, 74)
         direct = dirichlet_upsample_direct(x, 2).samples
         fast = fft_upsample(x, 2).samples
@@ -408,6 +419,50 @@ class TestDirichletUpsampleDirect:
         fast = fft_upsample(x, factor).samples
         direct = dirichlet_upsample_direct(x, factor).samples
         np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-14 * np.abs(x).sum())
+
+
+@pytest.mark.parametrize(
+    "n,factor",
+    [(1, 2), (2, 3), (9, 4), (64, 2), (255, 4), (10, 3), (33, 5)],
+)
+def test_lag_sum_indexes_like_the_entry_by_entry_matrix(n, factor):
+    # an integer-valued kernel on Gaussian-integer samples makes every
+    # product and partial sum exact, so any summation order gives the
+    # matrix product bit for bit and only an indexing slip can differ
+    def kernel(lags):
+        return (lags * 7919 % 31 - 15).astype(float)
+
+    rng = np.random.default_rng(75 + n)
+    x = rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)
+    grid = np.zeros((n, factor), dtype=np.complex128)
+    interpolate._lag_sum(kernel, x, grid)
+    m = np.arange(factor * n)
+    expected = (kernel(m[:, None] - factor * np.arange(n)) @ x).reshape(n, factor)
+    assert np.array_equal(grid[:, 1:], expected[:, 1:])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="needs a long double wider than float64",
+)
+@pytest.mark.parametrize("route", sorted(ORACLES))
+@pytest.mark.parametrize("n", [33, 255, 1023])
+@pytest.mark.parametrize("factor", [2, 4])
+def test_oracle_sums_within_a_few_ulps_of_extended_precision(route, n, factor):
+    # error of each sum against the same kernel values summed in long
+    # double, in units of eps * sum_k |K[m, k]| * |x[k]|
+    oracle, lag_kernel = ORACLES[route]
+    x = random_complex(n, 76 + n)
+    out = oracle(x, factor).samples
+    m = np.arange(factor * n)
+    reference = np.zeros(factor * n, dtype=np.clongdouble)
+    scale = np.zeros(factor * n)
+    for k in range(n):
+        column = lag_kernel(n, factor, m - factor * k)
+        reference += column.astype(np.longdouble) * np.clongdouble(x[k])
+        scale += np.abs(column) * abs(x[k])
+    error = np.abs(out.astype(np.clongdouble) - reference).astype(np.float64)
+    assert np.all(error <= 4 * np.finfo(np.float64).eps * scale)
 
 
 class TestSpectrumUpsample:
@@ -480,14 +535,19 @@ class TestDispatch:
         times = np.arange(36) * (2.0 / 3)
         np.testing.assert_allclose(out, sinc_interp(x, times), rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("factor", [2, 4])
-    def test_sinc_method_equals_pointwise_evaluation_on_unit_period(self, factor):
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_sinc_lags_are_the_sinc_interp_kernel_on_unit_period(self, factor):
         # with Ts = 1 and a power-of-two M the refined times are exact, so
-        # every kernel value matches the one sinc_interp computes
-        x = Sequence(random_complex(33, 102), sample_period=1.0)
+        # every lag-table value is the one sinc_interp computes
+        n = 33
+        lags = np.arange(-(n - 1) * factor, factor * n)
+        u = lags / factor
+        expected = _quotient(_sin_pi(u), np.pi * u)
+        assert np.array_equal(_sinc_lags(factor, lags).view(np.uint64), expected.view(np.uint64))
+        x = Sequence(random_complex(n, 102), sample_period=1.0)
         out = upsample(x, factor, "sinc").samples
-        times = np.arange(33 * factor) * (1.0 / factor)
-        assert np.array_equal(out, sinc_interp(x, times))
+        times = np.arange(n * factor) * (1.0 / factor)
+        np.testing.assert_allclose(out, sinc_interp(x, times), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 17, 64])
     @pytest.mark.parametrize("factor", [3, 7])
@@ -497,15 +557,6 @@ class TestDispatch:
         out = upsample(x, factor, "sinc").samples
         times = np.arange(n * factor) * (period / factor)
         np.testing.assert_allclose(out, sinc_interp(x, times), rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("n,factor", [(1, 2), (10, 3), (33, 5), (255, 4)])
-    def test_sinc_method_equals_entry_by_entry_matrix(self, n, factor):
-        x = Sequence(random_complex(n, 104 + n), sample_period=0.3)
-        m = np.arange(factor * n)
-        k = np.arange(n)
-        matrix = _sinc_lags(factor, m[:, None] - factor * k)
-        out = upsample(x, factor, "sinc").samples
-        assert np.array_equal(out, matrix @ x.samples)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_method_takes_input_without_a_period(self, method):

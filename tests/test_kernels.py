@@ -122,6 +122,18 @@ def test_psinc_convergence_monotone_in_truncation(order):
     assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
 
 
+@pytest.mark.parametrize("order", [7, 8, 9, 64])
+def test_psinc_converges_as_inverse_square_of_truncation(order):
+    # the replicas past L sum to O(1/L**2) near w = +/-pi: the fitted slope
+    # of log max|gap| against log L is -2 up to the fit's curvature
+    w = np.linspace(-np.pi, np.pi, 4097)
+    reference = dirichlet(order, w)
+    truncations = np.array([10, 20, 40, 80, 160])
+    gaps = [np.max(np.abs(reference - psinc(order, trunc, w))) for trunc in truncations]
+    slope = np.polyfit(np.log(truncations), np.log(gaps), 1)[0]
+    assert -2.05 <= slope <= -1.90
+
+
 @pytest.mark.parametrize("order", [4, 5, 8, 9])
 @pytest.mark.parametrize("trunc", [0, 2, 5, 10, 20])
 def test_discrepancy_smaller_near_origin(order, trunc):
