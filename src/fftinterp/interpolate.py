@@ -125,8 +125,16 @@ def _refine(seq: Sequence, factor: int, fill) -> Sequence:
     phase 0, is the input copied bit for bit.  For M > 1,
     ``fill(samples, grid)`` writes columns 1..M-1 in place.  That step and
     the output's finiteness check run under ``_overflow_guard``, and the
-    output carries sample period Ts/M (None stays None).
+    output carries sample period Ts/M (None stays None).  A Ts/M that
+    underflows to 0 is checked first, outside the guard, so it is one
+    ValueError naming Ts and M, not an overflow.
     """
+    period = None if seq.sample_period is None else seq.sample_period / factor
+    if period == 0.0:
+        raise ValueError(
+            f"the sample period {seq.sample_period!r} divided by the factor {factor} "
+            "underflows to 0"
+        )
     n = len(seq)
     out = np.empty(factor * n, dtype=np.complex128)
     grid = out.reshape(n, factor)
@@ -134,7 +142,6 @@ def _refine(seq: Sequence, factor: int, fill) -> Sequence:
     with _overflow_guard(seq):
         if factor > 1:
             fill(seq.samples, grid)
-        period = None if seq.sample_period is None else seq.sample_period / factor
         return Sequence(out, period)
 
 

@@ -16,10 +16,12 @@ and write an empty field for the -inf decibel sentinel.
 Sequence rows are handled a block of rows at a time, so that per-row work
 runs inside a few C-level calls and the whole text is never held at once:
 the writer formats each block with one ``%`` format, and the reader parses
-each block with one join/split and ``map(int, ...)``/``map(float, ...)``
-over its fields.  Errors are reported as if the file were checked line by
-line: a ParseError names the first bad line in file order.  A block that
-fails to parse is walked again row by row, only to name that line.
+each block with one ``np.loadtxt`` call.  A block numpy refuses, for a bad
+row or for a spelling only Python accepts (``1_0.5``, non-ASCII digits),
+is read row by row with ``int`` and ``float``.  So the reader takes each
+field, stripped of whitespace, in any spelling those accept, and errors are
+reported as if the file were checked line by line: a ParseError names the
+first bad line in file order.
 """
 
 import itertools
@@ -37,6 +39,8 @@ SEQUENCE_HEADER = "n,re,im"
 # Rows formatted or parsed per block: enough that the per-block calls cost
 # little per row, few enough that a block's strings stay small.
 _BLOCK_ROWS = 4096
+
+_ROW_DTYPE = [("n", np.int64), ("re", np.float64), ("im", np.float64)]
 
 
 class ParseError(ValueError):
@@ -113,17 +117,13 @@ def write_sequence(x, sink, metadata=None):
     _write_text(sink, itertools.chain(["\n".join(lines) + "\n"], blocks))
 
 
-def _check_row(line_number: int, line: str, expected_index: int):
-    """Raise the ParseError that names what is wrong with one data row.
-
-    This is the diagnostic for a block that failed to parse; rows that
-    parse are never passed through it.
-    """
-    parts = line.split(",")
+def _check_row(line_number: int, line: str, expected_index: int) -> complex:
+    """The sample of one data row, or the ParseError that names what is wrong with it."""
+    parts = [part.strip() for part in line.split(",")]
     if len(parts) != 3:
         raise ParseError(line_number, "expected 3 comma-separated fields")
     try:
-        index = int(parts[0].strip())
+        index = int(parts[0])
         real = float(parts[1])
         imag = float(parts[2])
     except ValueError:
@@ -134,35 +134,31 @@ def _check_row(line_number: int, line: str, expected_index: int):
         )
     if not (math.isfinite(real) and math.isfinite(imag)):
         raise ParseError(line_number, "sample values must be finite")
-
-
-def _parse_rows(rows, start: int):
-    """Samples of the data rows ``rows``, indexed from ``start``; None if any is bad."""
-    count = len(rows)
-    if list(map(str.count, rows, itertools.repeat(","))) != [2] * count:
-        return None
-    fields = ",".join(rows).split(",")
-    samples = np.empty(count, dtype=np.complex128)
-    try:
-        if list(map(int, fields[0::3])) != list(range(start, start + count)):
-            return None
-        samples.real = list(map(float, fields[1::3]))
-        samples.imag = list(map(float, fields[2::3]))
-    except ValueError:
-        return None
-    if not np.isfinite(samples).all():
-        return None
-    return samples
+    return complex(real, imag)
 
 
 def _parse_block(rows, line_numbers, start: int):
-    """Samples of a block of data rows; a bad block raises for its first bad line."""
-    samples = _parse_rows(rows, start)
-    if samples is None:
-        for expected, line_number, line in zip(itertools.count(start), line_numbers, rows):
-            _check_row(line_number, line, expected)
-        raise RuntimeError("a row block failed to parse but each of its rows checks out")
-    return samples
+    """Samples of a block of data rows; a bad block raises for its first bad line.
+
+    numpy's result is kept only when its indices run ``start, start + 1,
+    ...`` and every part is finite.  The index goes through ``int``, so it
+    is read as Python reads it on every numpy.  A block numpy refuses, or
+    whose result fails those checks, is read row by row by `_check_row`.
+    """
+    try:
+        table = np.loadtxt(
+            rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1, converters={0: int}
+        )
+    except ValueError:  # a bad row, or a spelling only int and float accept
+        table = np.empty(0, dtype=_ROW_DTYPE)  # fails the index check below
+    samples = np.empty(table.size, dtype=np.complex128)
+    # part by part: re + 1j*im would turn a -0.0 real part into 0.0
+    samples.real = table["re"]
+    samples.imag = table["im"]
+    indices = np.arange(start, start + len(rows))
+    if np.array_equal(table["n"], indices) and np.isfinite(samples.view(np.float64)).all():
+        return samples
+    return np.array(list(map(_check_row, line_numbers, rows, itertools.count(start))))
 
 
 def _sample_period(line_number: int, text: str) -> float:
@@ -181,8 +177,8 @@ def read_sequence(source) -> Sequence:
     ``# Ts=...`` sets the sample period; other metadata keys are ignored.
     Rows must carry contiguous 0-based indices and finite values.  Blank
     and ``#`` lines may appear anywhere.  Data rows are parsed a block at a
-    time; when a block fails, its rows are checked one by one to name the
-    first bad line, so errors read as if the file were checked line by line.
+    time; a block numpy refuses is read row by row, which names the first
+    bad line, so errors read as if the file were checked line by line.
     """
     if hasattr(source, "read"):
         return _parse_lines(source)

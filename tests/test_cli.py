@@ -177,6 +177,15 @@ class TestUpsample:
             "(real or imaginary part) is 1.7e+308"
         ]
 
+    def test_period_that_underflows_diagnosed_in_one_line(self, tmp_path, capsys):
+        src = tmp_path / "tiny.csv"
+        src.write_text("# Ts=5e-324\nn,re,im\n0,1.0,0.0\n1,1.0,0.0\n")
+        code, out, err = run(capsys, "upsample", "--in", str(src), "--factor", "2", "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: the sample period 5e-324 divided by the factor 2 underflows to 0"
+        ]
+
     def test_missing_file_diagnosed(self, tmp_path, capsys):
         code, _, err = run(capsys, "upsample", "--in", str(tmp_path / "nope.csv"), "--factor", "2", "--out", "-")
         assert code == 1

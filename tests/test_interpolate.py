@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fftinterp import interpolate
+from fftinterp import interpolate, signals
 from fftinterp.interpolate import (
     METHODS,
     _half_turns,
@@ -465,6 +465,15 @@ def test_oracle_sums_within_a_few_ulps_of_extended_precision(route, n, factor):
     assert np.all(error <= 4 * np.finfo(np.float64).eps * scale)
 
 
+@pytest.mark.parametrize("n", [255, 256, 1023, 1024])
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_full_band_random_signal_matches_oracle(n, factor):
+    # every harmonic the record can hold carries a seeded amplitude
+    x = signals.generate(signals.SignalSpec(kind="bandlimited-random", length=n, seed=3))
+    gap = np.abs(fft_upsample(x, factor).samples - dirichlet_upsample_direct(x, factor).samples)
+    assert gap.max() <= 4e-15 * np.abs(x.samples).max()
+
+
 class TestSpectrumUpsample:
     @pytest.mark.parametrize("n,factor", [(1, 3), (7, 2), (64, 4), (1009, 3)])
     def test_equals_transform_of_padded_copy(self, n, factor):
@@ -612,6 +621,18 @@ class TestOverflow:
         x = Sequence([1.7e308] * 4 + [-2.5e307j], sample_period=1.0)
         with pytest.raises(ValueError, match=r"overflows float64.* 1\.7e\+308$"):
             route(x, factor)
+
+    @pytest.mark.parametrize(
+        "route",
+        [fft_upsample, dirichlet_upsample_direct, lambda x, factor: upsample(x, factor, "sinc")],
+        ids=["fft_upsample", "dirichlet_upsample_direct", "upsample-sinc"],
+    )
+    def test_period_that_underflows_is_not_called_overflow(self, route):
+        with pytest.raises(ValueError) as excinfo:
+            route(Sequence(np.ones(4), sample_period=5e-324), 2)
+        assert str(excinfo.value) == (
+            "the sample period 5e-324 divided by the factor 2 underflows to 0"
+        )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_finite_input_that_fits_is_kept(self):

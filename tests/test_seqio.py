@@ -217,6 +217,112 @@ class TestLongFiles:
         np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
 
 
+@pytest.fixture(params=["numpy", "rows"])
+def read_text(request, monkeypatch):
+    """read_sequence of a text, on numpy's block parse or with every block read row by row."""
+    if request.param == "rows":
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+    return lambda text: read_sequence(StringIO(text))
+
+
+def data_text(*rows):
+    return "\n".join(["n,re,im", *rows]) + "\n"
+
+
+def plain_rows(count):
+    return [f"{i},{i}.5,-{i}.25" for i in range(count)]
+
+
+def assert_same_bits(samples, expected):
+    expected = np.array(expected, dtype=np.complex128)
+    np.testing.assert_array_equal(samples.view(np.uint64), expected.view(np.uint64))
+
+
+class TestReaderSpellings:
+    """Each spelling reads, or fails, as ``int`` and ``float`` decide, on
+    both of the reader's paths."""
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (["0,1_0.5,-2_5e-1"], [complex(10.5, -2.5)]),
+            (
+                [*plain_rows(10), "1_0,1.0,2.0"],
+                [complex(i + 0.5, -i - 0.25) for i in range(10)] + [1 + 2j],
+            ),
+            (["\u0660,\u0663.\u0665,\u0661"], [complex(3.5, 1.0)]),
+            (["  0 ,\t1.5 , -2.5\t"], [complex(1.5, -2.5)]),
+            (
+                ["0,-0.0,-0.0", "1,5e-324,-2.2250738585072014e-308", "2,-4.9e-324,1e-310"],
+                [
+                    complex(-0.0, -0.0),
+                    complex(5e-324, -2.2250738585072014e-308),
+                    complex(-5e-324, 1e-310),
+                ],
+            ),
+        ],
+        ids=["underscore-float", "underscore-index", "non-ascii", "whitespace", "zeros-subnormals"],
+    )
+    def test_spelling_reads_as_python_reads_it(self, read_text, rows, expected):
+        assert_same_bits(read_text(data_text(*rows)).samples, expected)
+
+    @pytest.mark.parametrize(
+        "row, bad, message",
+        [
+            (3, "3,1 .5,0.0", "malformed row '3,1 .5,0.0'"),
+            (1, "1,inf,0.0", "sample values must be finite"),
+            (2, "2,0.0,-nan", "sample values must be finite"),
+            (3, "3,Infinity,0.0", "sample values must be finite"),
+            (3, "3.0,1.0,2.0", "malformed row '3.0,1.0,2.0'"),
+            (3, f"{2**64 + 3},1,2", f"row index {2**64 + 3} is not contiguous (expected 3)"),
+        ],
+        ids=["inner-whitespace", "inf", "minus-nan", "Infinity", "float-index", "index-past-int64"],
+    )
+    def test_bad_spelling_names_its_line(self, read_text, row, bad, message):
+        rows = plain_rows(6)
+        rows[row] = bad
+        with pytest.raises(ParseError) as excinfo:
+            read_text(data_text(*rows))
+        line = row + 2
+        assert (excinfo.value.line_number, str(excinfo.value)) == (line, f"line {line}: {message}")
+
+    def test_control_separators_are_whitespace_in_every_field(self, read_text):
+        # str.strip and numpy both strip \x1c-\x1f, which float() alone refuses
+        samples = read_text(data_text("0\x1c,\x1d1.5,\x1e25\x1f")).samples
+        assert_same_bits(samples, [complex(1.5, 25.0)])
+
+    @pytest.mark.parametrize("row", [4095, 4096, 4097])
+    def test_spelling_numpy_refuses_at_the_block_boundary(self, read_text, row):
+        rows = plain_rows(LONG)
+        plain = read_text(data_text(*rows)).samples
+        rows[row] = f"{row},{row // 10}_{row % 10}.5,-{row}.25"
+        assert_same_bits(read_text(data_text(*rows)).samples, plain)
+
+    @pytest.mark.parametrize("row", [4095, 4096, 4097])
+    def test_bad_row_after_a_spelling_numpy_refuses(self, read_text, row):
+        rows = plain_rows(LONG)
+        rows[row] = f"{row},{row // 10}_{row % 10}.5,-{row}.25"
+        rows[row + 3] = f"{row + 3},1.0,oops"
+        with pytest.raises(ParseError) as excinfo:
+            read_text(data_text(*rows))
+        assert excinfo.value.line_number == row + 5
+
+    def test_writer_output_of_edge_values_reads_bit_for_bit(self, read_text):
+        samples = random_complex(LONG, 27)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+        samples[: len(edges) ** 2] = [complex(re, im) for re in edges for im in edges]
+        samples[-len(edges) :] = [complex(re, -re) for re in edges]
+        sink = StringIO()
+        write_sequence(Sequence(samples, sample_period=0.125), sink)
+        back = read_text(sink.getvalue())
+        assert_same_bits(back.samples, samples)
+        assert back.sample_period == 0.125
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
 
