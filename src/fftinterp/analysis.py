@@ -116,12 +116,14 @@ class MethodStudy:
     edge: ErrorReport
 
 
-def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpolate.METHODS):
-    """Run interpolation methods against ground truth on the refined grid.
+def upsample_error_study(spec: signals.SignalSpec, factor: int):
+    """Run every interpolation method against ground truth on the refined grid.
 
-    Interior points are those with N/4 <= m/M <= 3N/4; the rest are edge
-    points, where truncation (windowing) error concentrates.  Requires
-    factor >= 2 so the refined grid actually contains off-sample points.
+    Returns one ``MethodStudy`` per method of ``interpolate.METHODS``, in
+    that order.  Interior points are those with N/4 <= m/M <= 3N/4; the
+    rest are edge points, where truncation (windowing) error concentrates.
+    Requires factor >= 2 so the refined grid actually contains off-sample
+    points.
     """
     m_factor = _check_integer(factor, "study factor", 2)
     x = signals.generate(spec)
@@ -130,7 +132,7 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int, methods=interpol
     truth = signals._refined_grid_truth(spec, m_factor)
     interior = (positions >= n / 4) & (positions <= 3 * n / 4)
     studies = []
-    for method in methods:
+    for method in interpolate.METHODS:
         refined = interpolate.upsample(x, m_factor, method).samples
         diff = refined - truth
         studies.append(
@@ -155,8 +157,10 @@ _SLICE_SECONDS = 0.02
 _SLICES_PER_LAP = 10
 
 
-def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichlet")):
-    """Median wall-clock seconds per call for each (size, method).
+def bench_methods(sizes, factor: int, repetitions: int):
+    """Median wall-clock seconds per call of ``fft`` and ``dirichlet`` at each size.
+
+    Rows are (size, method, seconds), ``fft`` then ``dirichlet`` per size.
 
     A warm-up call per case, discarded, fixes how many calls each of its
     timed slices makes: enough to last about 0.02 s.  Each of the
@@ -176,7 +180,7 @@ def bench_methods(sizes, factor: int, repetitions: int, methods=("fft", "dirichl
         x = signals.generate(
             signals.SignalSpec(kind="bandlimited-random", length=n, seed=n, band=band)
         )
-        for method in methods:
+        for method in ("fft", "dirichlet"):
             start = time.perf_counter()
             interpolate.upsample(x, factor, method)
             calls = max(1, math.ceil(_SLICE_SECONDS / (time.perf_counter() - start)))

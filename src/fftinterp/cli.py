@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import analysis, interpolate, seqio, signals
+from .kernels import _MAX_COUNT
 
 __all__ = ["main", "build_parser"]
 
@@ -28,7 +29,8 @@ def _parse_grid(text: str):
     """(start, stop, count) of a --grid value, the one place a grid is checked.
 
     0 < STOP - START < inf also refuses inf or nan bounds and a span that
-    overflows, so ``np.linspace`` of the result is finite.
+    overflows, so ``np.linspace`` of the result is finite, and COUNT is at
+    most ``_MAX_COUNT``, the bound of every count.
     """
     try:
         start, stop, count = text.split(":")
@@ -36,11 +38,11 @@ def _parse_grid(text: str):
     except ValueError:
         pass
     else:
-        if count >= 2 and 0 < stop - start < math.inf:
+        if 2 <= count <= _MAX_COUNT and 0 < stop - start < math.inf:
             return start, stop, count
     raise ValueError(
-        f"--grid expects START:STOP:COUNT with COUNT >= 2 and 0 < STOP - START < inf, "
-        f"got {text!r}"
+        f"--grid expects START:STOP:COUNT with 2 <= COUNT <= {_MAX_COUNT} and "
+        f"0 < STOP - START < inf, got {text!r}"
     )
 
 

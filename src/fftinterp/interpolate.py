@@ -44,6 +44,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .kernels import (
+    _MAX_COUNT,
     _check_integer,
     _dirichlet,
     _dirichlet_lags,
@@ -69,21 +70,32 @@ METHODS = ("fft", "dirichlet", "sinc")
 
 
 def _inputs(x, factor) -> tuple[Sequence, int]:
-    """``x`` as a Sequence and ``factor`` as an int >= 1, or a ValueError naming it."""
+    """``x`` as a Sequence and ``factor`` as an int >= 1, or a ValueError naming it.
+
+    This is the one place the refined length M*N is checked: an M*N-point
+    complex128 array of more bytes (16 each) than numpy can index is one
+    ValueError naming M, N and M*N, raised before anything is allocated,
+    so every ValueError inside ``_overflow_guard`` is an overflow.
+    """
     seq = x if isinstance(x, Sequence) else Sequence(x)
-    return seq, _check_integer(factor, "upsampling factor", 1)
+    m_factor = _check_integer(factor, "upsampling factor", 1)
+    if 16 * m_factor * len(seq) > _MAX_COUNT:
+        raise ValueError(
+            f"upsampling factor {m_factor} on {len(seq)} samples makes "
+            f"{m_factor * len(seq)} refined samples, more than one array can hold"
+        )
+    return seq, m_factor
 
 
-def _phase_tables(slopes, offsets, denominator: int, length: int):
-    """Yield exp(j*pi*(slope*k + offset)/denominator), k = 0..length-1, per pair.
+def _phase_tables(slopes, offsets, denominator: int, length: int) -> np.ndarray:
+    """exp(j*pi*(slope*k + offset)/denominator), k = 0..length-1, one row per pair.
 
-    Writing k = hi*B + lo with B = ceil(sqrt(length)) makes each table the
+    Writing k = hi*B + lo with B = ceil(sqrt(length)) makes each row the
     outer product of a table over hi and a table over lo, about sqrt(length)
     entries each, so about 2*sqrt(length) exponentials are evaluated per
-    table instead of length; one ``_half_turns`` call serves every factor
-    of every pair.  Each entry carries one extra rounding from that
-    product, however long the table.  Tables are built one at a time, as
-    fresh writable arrays.
+    row instead of length; one ``_half_turns`` call serves every factor
+    of every pair, and one broadcast product builds every row.  Each entry
+    carries one extra rounding from that product, however long the table.
     """
     block = math.isqrt(length - 1) + 1
     rows = -(-length // block)
@@ -94,8 +106,7 @@ def _phase_tables(slopes, offsets, denominator: int, length: int):
     numerators = slopes * np.concatenate((block * np.arange(rows), np.arange(block)))
     numerators[:, rows:] += offsets
     factors = _half_turns(numerators, denominator)
-    for row in factors:
-        yield np.multiply.outer(row[:rows], row[rows:]).ravel()[:length]
+    return (factors[:, :rows, None] * factors[:, None, rows:]).reshape(len(factors), -1)[:, :length]
 
 
 @contextmanager
@@ -218,6 +229,7 @@ def dirichlet_interp_spectrum(X, w):
 def _polyphase_tables(n: int, factor: int):
     """The twist, its conjugate and ramps 1..M-1 of ``fft_upsample``, read-only.
 
+    The twist and the ramps are the rows of one ``_phase_tables`` block.
     Kept for the next call with the same (N, M) (module docstring); every
     caller shares them, so none may write to them.
     """
@@ -226,11 +238,10 @@ def _polyphase_tables(n: int, factor: int):
     phases = np.arange(factor)
     slopes = 2 * phases
     slopes[0] = factor * (n - 1)
-    twist, *ramps = _phase_tables(slopes, -(n - 1) * phases, factor * n, n)
-    untwist = np.conj(twist)
-    for table in (twist, untwist, *ramps):
-        table.flags.writeable = False
-    return twist, untwist, tuple(ramps)
+    tables = _phase_tables(slopes, -(n - 1) * phases, factor * n, n)
+    untwist = np.conj(tables[0])
+    tables.flags.writeable = untwist.flags.writeable = False
+    return tables[0], untwist, tables[1:]
 
 
 def _polyphase(samples, grid) -> None:

@@ -37,6 +37,9 @@ __all__ = ["sinc", "dirichlet", "psinc"]
 # falls in.
 _BLOCK_ENTRIES = 1 << 16
 
+# The largest count a numpy array length or index can hold.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 def _finite_floats(value, name: str) -> np.ndarray:
     """``value`` as a float array, or a ValueError naming it if not finite reals."""
@@ -53,9 +56,9 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int, or a ValueError naming it.
 
     Accepts integers and integral floats that are at least ``minimum``
-    (any integer when it is None).  bool is an Integral subtype, but True
-    is a flag, not a count, so it is refused along with None, strings, inf
-    and nan.
+    and, being counts, at most ``_MAX_COUNT`` (any integer when
+    ``minimum`` is None).  bool is an Integral subtype, but True is a flag,
+    not a count, so it is refused along with None, strings, inf and nan.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         whole = False
@@ -66,6 +69,8 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
     if not whole or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    if minimum is not None and value > _MAX_COUNT:
+        raise ValueError(f"{name} must be an integer <= {_MAX_COUNT}, got {value!r}")
     return int(value)
 
 

@@ -171,7 +171,7 @@ def test_criterion_08_trigonometric_exactness():
 
 def test_criterion_09_windowing_effect():
     spec = SignalSpec(kind="gaussian-pulse", length=64)
-    studies = {s.method: s for s in upsample_error_study(spec, 2, methods=("fft",))}
+    studies = {s.method: s for s in upsample_error_study(spec, 2)}
     study = studies["fft"]
     _report(
         9,

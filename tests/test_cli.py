@@ -388,6 +388,28 @@ def test_integer_flag_below_minimum_is_one_diagnostic(signal_file, flag, data):
     assert "Traceback" not in stderr.getvalue()
 
 
+# Every integer flag, and the grid COUNT, with the argv around the value.
+COUNT_FLAGS = {
+    **{flag: argv for flag, (_, argv) in INTEGER_FLAGS.items()},
+    "kernels --grid COUNT": lambda v, src, out: ["kernels", f"--grid=0:1:{v}", "--out", out],
+}
+
+
+@pytest.mark.parametrize("flag", COUNT_FLAGS)
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_integer_flag_past_numpy_index_is_one_diagnostic(signal_file, flag, data):
+    # only values of at least 2**63: a smaller --n or --sizes would allocate
+    value = data.draw(st.just(10**400) | st.integers(min_value=2**63), label="value")
+    out = signal_file + ".out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(COUNT_FLAGS[flag](value, signal_file, out))
+    lines = stderr.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(value) in lines[0], lines
+
+
 def _bad_sample_period(text):
     try:
         period = float(text.strip())

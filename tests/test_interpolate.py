@@ -601,26 +601,37 @@ class TestDispatch:
             upsample(np.ones(4), 2, "cubic")
 
 
+# Every route onto the refined grid, by name.
+REFINING_ROUTES = {
+    "fft_upsample": fft_upsample,
+    "dirichlet_upsample_direct": dirichlet_upsample_direct,
+    "upsample-sinc": lambda x, factor: upsample(x, factor, "sinc"),
+    "spectrum_upsample": spectrum_upsample,
+}
+
+
 class TestOverflow:
     """Finite input whose interpolant overflows float64 gets one ValueError
     that says so, with no RuntimeWarning on the way."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize(
-        "route",
-        [
-            fft_upsample,
-            dirichlet_upsample_direct,
-            lambda x, factor: upsample(x, factor, "sinc"),
-            spectrum_upsample,
-        ],
-        ids=["fft_upsample", "dirichlet_upsample_direct", "upsample-sinc", "spectrum_upsample"],
-    )
+    @pytest.mark.parametrize("route", REFINING_ROUTES.values(), ids=REFINING_ROUTES.keys())
     @pytest.mark.parametrize("factor", [2, 3])
     def test_overflow_named_with_largest_input(self, route, factor):
         x = Sequence([1.7e308] * 4 + [-2.5e307j], sample_period=1.0)
         with pytest.raises(ValueError, match=r"overflows float64.* 1\.7e\+308$"):
             route(x, factor)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("route", REFINING_ROUTES.values(), ids=REFINING_ROUTES.keys())
+    def test_refined_length_no_array_holds_names_m_and_n(self, route):
+        # 2**62 * 4 complex128 samples are 2**68 bytes: refused before any
+        # allocation, by what it is, not blamed on overflow
+        with pytest.raises(ValueError) as excinfo:
+            route(np.ones(4), 2**62)
+        message = str(excinfo.value)
+        assert f"factor {2**62} on 4 samples" in message and str(2**64) in message
+        assert "overflows" not in message
 
     @pytest.mark.parametrize(
         "route",
