@@ -72,14 +72,14 @@ METHODS = ("fft", "dirichlet", "sinc")
 def _inputs(x, factor) -> tuple[Sequence, int]:
     """``x`` as a Sequence and ``factor`` as an int >= 1, or a ValueError naming it.
 
-    This is the one place the refined length M*N is checked: an M*N-point
-    complex128 array of more bytes (16 each) than numpy can index is one
+    This is the one place the refined length M*N is checked: an M*N above
+    ``_MAX_COUNT``, more complex128 values than one array can hold, is one
     ValueError naming M, N and M*N, raised before anything is allocated,
     so every ValueError inside ``_overflow_guard`` is an overflow.
     """
     seq = x if isinstance(x, Sequence) else Sequence(x)
     m_factor = _check_integer(factor, "upsampling factor", 1)
-    if 16 * m_factor * len(seq) > _MAX_COUNT:
+    if m_factor * len(seq) > _MAX_COUNT:
         raise ValueError(
             f"upsampling factor {m_factor} on {len(seq)} samples makes "
             f"{m_factor * len(seq)} refined samples, more than one array can hold"

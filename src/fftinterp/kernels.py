@@ -25,6 +25,7 @@ the kernel is.
 
 import math
 import numbers
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,15 +38,16 @@ __all__ = ["sinc", "dirichlet", "psinc"]
 # falls in.
 _BLOCK_ENTRIES = 1 << 16
 
-# The largest count a numpy array length or index can hold.
-_MAX_COUNT = int(np.iinfo(np.intp).max)
+# The most complex128 values (16 bytes each) one numpy array can hold,
+# 2**59 - 1 on 64-bit: the bound of every count.
+_MAX_COUNT = int(np.iinfo(np.intp).max) // 16
 
 
 def _finite_floats(value, name: str) -> np.ndarray:
     """``value`` as a float array, or a ValueError naming it if not finite reals."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be finite real numbers") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
@@ -56,9 +58,11 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int, or a ValueError naming it.
 
     Accepts integers and integral floats that are at least ``minimum``
-    and, being counts, at most ``_MAX_COUNT`` (any integer when
-    ``minimum`` is None).  bool is an Integral subtype, but True is a flag,
-    not a count, so it is refused along with None, strings, inf and nan.
+    and, being counts, at most ``_MAX_COUNT``, the most complex128 values
+    one array can hold, so a count passes only if numpy could allocate its
+    array (any integer when ``minimum`` is None).  bool is an Integral
+    subtype, but True is a flag, not a count, so it is refused along with
+    None, strings, inf and nan.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         whole = False
@@ -74,6 +78,16 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+@contextmanager
+def _overflow_error(describe):
+    """Turn float64 overflow in the body into one ValueError(describe()), with no warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(describe()) from None
+
+
 def _pointwise(value, name: str, evaluate):
     """``evaluate`` at every entry of the real argument ``value``, shaped like it.
 
@@ -82,16 +96,17 @@ def _pointwise(value, name: str, evaluate):
     ``value`` gets its result back as a Python scalar, through ``item``,
     so a float result stays a float and a complex one a complex.  A finite
     argument so large that the evaluation overflows float64 is one
-    ValueError naming the argument of largest magnitude, not a warning.
+    ValueError naming the argument of largest magnitude, through
+    ``_overflow_error``, not a warning.
     """
     arr = _finite_floats(value, name)
     flat = np.atleast_1d(arr).ravel()
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            out = evaluate(flat).reshape(arr.shape)
-    except FloatingPointError:
-        peak = float(flat[np.argmax(np.abs(flat))])
-        raise ValueError(f"the result overflows float64 at {name} {peak!r}") from None
+
+    def describe():
+        return f"the result overflows float64 at {name} {float(flat[np.abs(flat).argmax()])!r}"
+
+    with _overflow_error(describe):
+        out = evaluate(flat).reshape(arr.shape)
     return out if arr.ndim else out.item()
 
 

@@ -6,18 +6,19 @@ DTFT ``dtft_at``.  ``dft_naive``/``idft_naive`` are the quadratic-time
 reference implementations kept as oracles; ``dft``/``idft`` are the fast
 O(N log N) routes for every length: numpy's pocketfft under
 ``norm="forward"``, which is this convention exactly.  Nothing is cached
-between calls.  Finite input whose transform overflows float64 is one
-ValueError that says so, with no RuntimeWarning.  ``_ifft`` is the raw
-inverse behind ``idft``, for callers that have validated their input and
-want the result written in place.
+between calls.  Samples or a sample period that do not convert to finite
+numbers are one ValueError naming them.  Finite input whose transform
+overflows float64 is one ValueError that says so, with no RuntimeWarning:
+``kernels._overflow_error``, the converter the pointwise kernels use too.
+``_ifft`` is the raw inverse behind ``idft``, for callers that have
+validated their input and want the result written in place.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_integer, _half_turns, _pointwise_sum
+from .kernels import _check_integer, _half_turns, _overflow_error, _pointwise_sum
 
 __all__ = [
     "Sequence",
@@ -31,7 +32,10 @@ __all__ = [
 
 def _finite_vector(x, name: str) -> np.ndarray:
     """``x`` as a finite, non-empty 1-D complex128 array, or a ValueError naming it."""
-    arr = np.asarray(x, dtype=np.complex128, order="C")
+    try:
+        arr = np.asarray(x, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be finite complex numbers") from None
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must form a non-empty 1-D sequence")
     # one real pass over the 2N parts; order="C" above makes the view valid
@@ -50,7 +54,10 @@ class Sequence:
     def __post_init__(self):
         self.samples = _finite_vector(self.samples, "samples")
         if self.sample_period is not None:
-            period = float(self.sample_period)
+            try:
+                period = float(self.sample_period)
+            except (TypeError, ValueError, OverflowError):
+                period = np.nan
             if not np.isfinite(period) or period <= 0.0:
                 raise ValueError("sample_period must be a positive number of seconds")
             self.sample_period = period
@@ -93,16 +100,6 @@ def idft_naive(X) -> np.ndarray:
     return _twiddles(a.size, 1) @ a
 
 
-@contextmanager
-def _transform_overflow():
-    """Turn float64 overflow inside a transform of finite input into one ValueError."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError("the transform overflows float64") from None
-
-
 def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized inverse of a complex128 vector, unchecked; ``out`` may be ``a``."""
     return np.fft.ifft(a, norm="forward", out=out)
@@ -121,14 +118,14 @@ def dft(x, n: int | None = None) -> np.ndarray:
     a = _as_samples(x)
     if n is not None:
         n = _check_integer(n, "new length", a.size)
-    with _transform_overflow():
+    with _overflow_error(lambda: "the transform overflows float64"):
         return np.fft.fft(a, n=n, norm="forward")
 
 
 def idft(X) -> np.ndarray:
     """Fast unnormalized inverse transform; matches ``idft_naive``."""
     a = _as_samples(X)
-    with _transform_overflow():
+    with _overflow_error(lambda: "the transform overflows float64"):
         return _ifft(a)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fftinterp import interpolate
 from fftinterp.cli import main
+from fftinterp.kernels import _MAX_COUNT
 from fftinterp.seqio import ParseError, read_sequence, write_sequence
 from fftinterp.transforms import Sequence
 
@@ -391,6 +392,7 @@ def test_integer_flag_below_minimum_is_one_diagnostic(signal_file, flag, data):
 # Every integer flag, and the grid COUNT, with the argv around the value.
 COUNT_FLAGS = {
     **{flag: argv for flag, (_, argv) in INTEGER_FLAGS.items()},
+    "kernels --l": lambda v, src, out: ["kernels", f"--l={v}", "--out", out],
     "kernels --grid COUNT": lambda v, src, out: ["kernels", f"--grid=0:1:{v}", "--out", out],
 }
 
@@ -399,8 +401,10 @@ COUNT_FLAGS = {
 @settings(deadline=None, max_examples=10)
 @given(data=st.data())
 def test_integer_flag_past_numpy_index_is_one_diagnostic(signal_file, flag, data):
-    # only values of at least 2**63: a smaller --n or --sizes would allocate
-    value = data.draw(st.just(10**400) | st.integers(min_value=2**63), label="value")
+    # values past _MAX_COUNT, the most complex128 values one array holds, up
+    # to one past the largest int64 index, and one that overflows a float
+    past = st.integers(min_value=_MAX_COUNT + 1, max_value=2**63)
+    value = data.draw(st.just(10**400) | past, label="value")
     out = signal_file + ".out"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):

@@ -625,12 +625,13 @@ class TestOverflow:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("route", REFINING_ROUTES.values(), ids=REFINING_ROUTES.keys())
     def test_refined_length_no_array_holds_names_m_and_n(self, route):
-        # 2**62 * 4 complex128 samples are 2**68 bytes: refused before any
-        # allocation, by what it is, not blamed on overflow
+        # 2**58 is a valid count, but 2**58 * 4 = 2**60 refined samples are
+        # more than one array can hold: refused before any allocation, by
+        # what it is, not blamed on overflow
         with pytest.raises(ValueError) as excinfo:
-            route(np.ones(4), 2**62)
+            route(np.ones(4), 2**58)
         message = str(excinfo.value)
-        assert f"factor {2**62} on 4 samples" in message and str(2**64) in message
+        assert f"factor {2**58} on 4 samples" in message and str(2**60) in message
         assert "overflows" not in message
 
     @pytest.mark.parametrize(

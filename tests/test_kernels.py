@@ -9,7 +9,7 @@ import pytest
 from fftinterp.interpolate import dirichlet_interp_spectrum
 from fftinterp.kernels import _dirichlet_lags, dirichlet, psinc, sinc
 from fftinterp.signals import SignalSpec, eval_ground_truth
-from fftinterp.transforms import dtft_at
+from fftinterp.transforms import Sequence, dtft_at
 
 
 def test_sinc_at_zero():
@@ -84,6 +84,14 @@ def test_order_must_be_a_whole_number(value):
 def test_truncation_must_be_a_whole_number(value):
     with pytest.raises(ValueError, match="truncation"):
         psinc(4, value, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_truncation_no_array_holds_is_one_value_error_naming_it():
+    # 2*L + 1 replicas at L = 2**62 are more than one array can hold; the
+    # truncation is refused as a count, not summed over an empty range
+    with pytest.raises(ValueError, match=f"^truncation must be an integer <= .*, got {2**62}$"):
+        psinc(8, 2**62, np.linspace(-3.0, 3.0, 5))
 
 
 def test_integral_float_order_and_truncation_accepted():
@@ -238,6 +246,41 @@ def test_huge_finite_argument_is_one_value_error_naming_it(evaluate, name, value
         evaluate(value)
     with pytest.raises(ValueError, match=re.escape(f"{name} {-value!r}")):
         evaluate([0.0, -value])
+
+
+# Each entry point that converts an argument to numbers, with the name its
+# ValueError gives that argument.
+CONVERTING_ENTRY_POINTS = {
+    "Sequence-samples": ("samples", lambda v: Sequence([1.0, v])),
+    "Sequence-sample_period": ("sample_period", lambda v: Sequence([1.0], sample_period=v)),
+    "dirichlet": ("kernel argument", lambda v: dirichlet(4, v)),
+    "sinc": ("kernel argument", sinc),
+    "psinc": ("kernel argument", lambda v: psinc(4, 2, v)),
+    "dtft_at": ("frequency", lambda v: dtft_at([1, 2, 3], v)),
+    "SignalSpec-harmonics": (
+        "harmonics",
+        lambda v: SignalSpec(kind="tone", length=8, harmonics=(v,)),
+    ),
+    "SignalSpec-center": (
+        "pulse center",
+        lambda v: SignalSpec(kind="gaussian-pulse", length=8, center=v),
+    ),
+    "SignalSpec-amplitudes": (
+        "amplitudes",
+        lambda v: SignalSpec(kind="multitone", length=8, harmonics=(0,), amplitudes=(v,)),
+    ),
+}
+# an integer past float64's range, a non-number and an unparsable string
+UNCONVERTIBLE = {"10**400": 10**400, "object": object(), "abc": "abc"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", UNCONVERTIBLE.values(), ids=UNCONVERTIBLE.keys())
+@pytest.mark.parametrize("entry", CONVERTING_ENTRY_POINTS)
+def test_unconvertible_argument_is_one_value_error_naming_it(entry, value):
+    name, call = CONVERTING_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(value)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -162,6 +162,12 @@ class TestFast:
             dft([1, 2, 3], length)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_padded_length_no_array_holds_is_one_value_error_naming_it(self):
+        # 2**62 complex128 values are 2**66 bytes: refused as a count, not by numpy
+        with pytest.raises(ValueError, match=f"^new length must be an integer <= .*, got {2**62}$"):
+            dft([1, 2], 2**62)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "transform", [dft, idft, lambda x: dft(x, 8)], ids=["dft", "idft", "padded-dft"]
     )
