@@ -59,10 +59,11 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
 
     Accepts integers and integral floats that are at least ``minimum``
     and, being counts, at most ``_MAX_COUNT``, the most complex128 values
-    one array can hold, so a count passes only if numpy could allocate its
-    array (any integer when ``minimum`` is None).  bool is an Integral
-    subtype, but True is a flag, not a count, so it is refused along with
-    None, strings, inf and nan.
+    one array can hold (any integer when ``minimum`` is None).  That bound
+    is the same for every count, so a count that is not an array length,
+    or whose array is a multiple of it, can pass and still not fit in
+    memory.  bool is an Integral subtype, but True is a flag, not a count,
+    so it is refused along with None, strings, inf and nan.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         whole = False
@@ -101,11 +102,8 @@ def _pointwise(value, name: str, evaluate):
     """
     arr = _finite_floats(value, name)
     flat = np.atleast_1d(arr).ravel()
-
-    def describe():
-        return f"the result overflows float64 at {name} {float(flat[np.abs(flat).argmax()])!r}"
-
-    with _overflow_error(describe):
+    peak = lambda: float(flat[np.abs(flat).argmax()])  # noqa: E731
+    with _overflow_error(lambda: f"the result overflows float64 at {name} {peak()!r}"):
         out = evaluate(flat).reshape(arr.shape)
     return out if arr.ndim else out.item()
 

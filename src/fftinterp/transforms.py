@@ -29,6 +29,9 @@ __all__ = [
     "dtft_at",
 ]
 
+# The message of a transform whose finite input overflows float64.
+_transform_overflows = lambda: "the transform overflows float64"  # noqa: E731
+
 
 def _finite_vector(x, name: str) -> np.ndarray:
     """``x`` as a finite, non-empty 1-D complex128 array, or a ValueError naming it."""
@@ -118,14 +121,14 @@ def dft(x, n: int | None = None) -> np.ndarray:
     a = _as_samples(x)
     if n is not None:
         n = _check_integer(n, "new length", a.size)
-    with _overflow_error(lambda: "the transform overflows float64"):
+    with _overflow_error(_transform_overflows):
         return np.fft.fft(a, n=n, norm="forward")
 
 
 def idft(X) -> np.ndarray:
     """Fast unnormalized inverse transform; matches ``idft_naive``."""
     a = _as_samples(X)
-    with _overflow_error(lambda: "the transform overflows float64"):
+    with _overflow_error(_transform_overflows):
         return _ifft(a)
 
 

@@ -401,10 +401,15 @@ COUNT_FLAGS = {
 @settings(deadline=None, max_examples=10)
 @given(data=st.data())
 def test_integer_flag_past_numpy_index_is_one_diagnostic(signal_file, flag, data):
-    # values past _MAX_COUNT, the most complex128 values one array holds, up
-    # to one past the largest int64 index, and one that overflows a float
-    past = st.integers(min_value=_MAX_COUNT + 1, max_value=2**63)
-    value = data.draw(st.just(10**400) | past, label="value")
+    # values past _MAX_COUNT, the most complex128 values one array holds:
+    # up to one past the largest int64 index (an unbounded range almost
+    # never lands below it), anything above, and one that overflows a float
+    value = data.draw(
+        st.just(10**400)
+        | st.integers(min_value=_MAX_COUNT + 1, max_value=2**63)
+        | st.integers(min_value=2**63),
+        label="value",
+    )
     out = signal_file + ".out"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
