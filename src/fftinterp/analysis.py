@@ -134,7 +134,8 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int):
     studies = []
     for method in interpolate.METHODS:
         refined = interpolate.upsample(x, m_factor, method).samples
-        diff = refined - truth
+        with np.errstate(over="ignore"):
+            diff = refined - truth
         studies.append(
             MethodStudy(
                 method=method,

@@ -6,6 +6,12 @@ h is exp(2j*pi*h*t/N).  Harmonics may be half-integers: the Dirichlet
 interpolant of an even-length record is exact precisely on the half-integer
 grid (see ``fftinterp.interpolate``).
 
+Every ground truth is one evaluator, ``_closed_form``: ``generate`` at the
+sample times, ``eval_ground_truth`` at any float times, and the refined grid
+t = m/M that ``analysis`` compares the upsamplers against.  Each runs under
+the one float-overflow converter, ``kernels._overflow_error``, so a value
+that overflows float64 is one ValueError, with no RuntimeWarning.
+
 Randomized kinds draw from an explicitly specified splitmix64 recurrence so
 identical specs reproduce identical signals in any implementation:
 
@@ -24,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import _check_integer, _finite_floats, _pointwise
+from .kernels import _check_integer, _finite_floats, _overflow_error, _pointwise
 from .transforms import Sequence, _finite_vector
 
 __all__ = [
@@ -104,7 +110,9 @@ class SignalSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "length", _check_integer(self.length, "length", 1))
-        harmonics = _finite_floats(tuple(self.harmonics), "harmonics")
+        harmonics = _finite_floats(self.harmonics, "harmonics")
+        if harmonics.ndim != 1:
+            raise ValueError(f"harmonics must be a 1-D sequence, got {self.harmonics!r}")
         object.__setattr__(self, "harmonics", tuple(harmonics.tolist()))
         amplitudes = tuple(self.amplitudes)
         if amplitudes:
@@ -122,8 +130,11 @@ class SignalSpec:
         if self.kind == "gaussian-pulse":
             center = (self.length - 1) / 2 if self.center is None else self.center
             width = self.length / 8 if self.width is None else self.width
-            object.__setattr__(self, "center", float(_finite_floats(center, "pulse center")))
-            object.__setattr__(self, "width", float(_finite_floats(width, "pulse width")))
+            for name, value in (("center", center), ("width", width)):
+                scalar = _finite_floats(value, f"pulse {name}")
+                if scalar.ndim:
+                    raise ValueError(f"pulse {name} must be one real number, got {value!r}")
+                object.__setattr__(self, name, float(scalar))
             try:
                 spread = 2.0 * self.width**2
             except OverflowError:
@@ -155,23 +166,29 @@ def _tone_table(spec: SignalSpec):
     """Harmonic/amplitude pairs realizing a tone-sum kind's closed form."""
     if spec.kind == "bandlimited-random":
         harmonics = np.arange(-spec.band, spec.band + 1, dtype=float)
-        draws = uniform_doubles(spec.seed, 2 * harmonics.size)
-        re = 2.0 * np.array(draws[0::2]) - 1.0
-        im = 2.0 * np.array(draws[1::2]) - 1.0
-        return harmonics, re + 1j * im
+        draws = 2.0 * np.array(uniform_doubles(spec.seed, 2 * harmonics.size)) - 1.0
+        return harmonics, draws[0::2] + 1j * draws[1::2]
     amps = spec.amplitudes or (1.0 + 0.0j,) * len(spec.harmonics)
     return np.array(spec.harmonics), np.array(amps)
 
 
-def _tone_sum(spec: SignalSpec, scaled_t, scale: int):
-    """sum_h a_h exp(2j*pi*h*t/N) at t = scaled_t / scale, in exact half-turns.
+def _closed_form(spec: SignalSpec, scaled_t, scale: int):
+    """The spec's closed form at t = scaled_t / scale (Ts = 1), as complex128.
 
-    The phase 2*h*t/N half-turns is taken as 2*h*scaled_t reduced mod
-    2*scale*N, then divided by scale*N.  fmod is exact, and so is
-    2*h*scaled_t for integer or half-integer h at integer scaled_t (or at
-    the dyadic t of a power-of-two grid when scale is 1), so the phase does
-    not drift with N.
+    Tones sum a_h exp(2j*pi*h*t/N) in exact half-turns: the phase 2*h*t/N
+    half-turns is taken as 2*h*scaled_t reduced mod 2*scale*N, then divided
+    by scale*N.  fmod is exact, and so is 2*h*scaled_t for integer or
+    half-integer h at integer scaled_t (or at the dyadic t of a
+    power-of-two grid when scale is 1), so the phase does not drift with
+    N.  The Gaussian pulse evaluates its exponential at the float t, and is
+    exactly 0 where the exponent overflows.
     """
+    if spec.kind == "gaussian-pulse":
+        # far from the center the exponent overflows to -inf, and exp
+        # gives the exact 0 there
+        with np.errstate(over="ignore"):
+            exponent = -((scaled_t / scale - spec.center) ** 2) / (2.0 * spec.width**2)
+        return np.exp(exponent).astype(np.complex128)
     harmonics, amplitudes = _tone_table(spec)
     turn = scale * spec.length
     out = np.zeros(scaled_t.shape, dtype=np.complex128)
@@ -184,45 +201,34 @@ def _tone_sum(spec: SignalSpec, scaled_t, scale: int):
 def eval_ground_truth(spec: SignalSpec, t):
     """Closed-form signal value at time(s) ``t`` in seconds (Ts = 1).
 
-    Tones evaluate sum_h a_h exp(2j*pi*h*t/N), with the phase 2*h*t reduced
-    mod 2N half-turns before exp; the Gaussian pulse evaluates its
-    exponential directly, and is exactly 0 where the exponent overflows.
-    Agrees with ``generate`` exactly at the sample points t = 0..N-1.
+    ``_closed_form`` at the float t: exact half-turn phases for tones at
+    the integer t of the sample grid and the dyadic t of a power-of-two
+    refinement, and an exact 0 for the pulse far from its center.  A
+    finite t whose value overflows float64 is one ValueError naming the
+    largest t.  Agrees with ``generate`` exactly at t = 0..N-1.
     """
-    if spec.kind == "gaussian-pulse":
-
-        def evaluate(flat):
-            # far from the center the exponent overflows to -inf, and exp
-            # gives the exact 0 there
-            with np.errstate(over="ignore"):
-                exponent = -((flat - spec.center) ** 2) / (2.0 * spec.width**2)
-            return np.exp(exponent).astype(np.complex128)
-
-    else:
-        # exact at the integer t of the sample grid and at the dyadic t of a
-        # power-of-two refinement; _refined_grid_truth covers every factor
-        def evaluate(flat):
-            return _tone_sum(spec, flat, 1)
-
-    return _pointwise(t, "evaluation time", evaluate)
+    return _pointwise(t, "evaluation time", lambda flat: _closed_form(spec, flat, 1))
 
 
 def _refined_grid_truth(spec: SignalSpec, factor: int):
     """Ground truth at t = m/M for m = 0..M*N-1 (Ts = 1), the grid that M-fold
     upsampling fills.
 
-    Tone phases come from the integer m, so they stay exact for every M, not
-    only where m/M is a dyadic float; for power-of-two M the result is bit
-    for bit ``eval_ground_truth(spec, np.arange(M*N) / M)``.  The Gaussian
-    pulse is evaluated at the float times.
+    ``_closed_form`` at the integer m over M: tone phases come from the
+    integer m, so they stay exact for every M, not only where m/M is a
+    dyadic float; for power-of-two M the result is bit for bit
+    ``eval_ground_truth(spec, np.arange(M*N) / M)``.  The Gaussian pulse
+    is evaluated at the float times m/M.  A truth that overflows float64 is
+    one ValueError that says so, with no RuntimeWarning.
     """
-    m = np.arange(factor * spec.length, dtype=np.int64)
-    if spec.kind == "gaussian-pulse":
-        return eval_ground_truth(spec, m / factor)
-    return _tone_sum(spec, m, factor)
+    with _overflow_error(lambda: "the ground truth overflows float64"):
+        return _closed_form(spec, np.arange(factor * spec.length), factor)
 
 
 def generate(spec: SignalSpec) -> Sequence:
-    """Sample the spec's closed form at t = 0..N-1 with Ts = 1 second."""
-    samples = eval_ground_truth(spec, np.arange(spec.length, dtype=float))
-    return Sequence(samples, sample_period=1.0)
+    """Sample the spec's closed form at t = 0..N-1 with Ts = 1 second.
+
+    The factor-1 ``_refined_grid_truth``, so the samples are
+    ``eval_ground_truth`` at those times, bit for bit.
+    """
+    return Sequence(_refined_grid_truth(spec, 1), 1.0)

@@ -216,6 +216,23 @@ class TestUpsampleErrorStudy:
         with pytest.raises(ValueError, match=repr(factor)):
             upsample_error_study(spec, factor)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_truth_that_overflows_is_one_value_error(self):
+        # the samples fit (peak 1.41e308); the truth at t = 1.5 is 1.85e308
+        spec = SignalSpec(
+            kind="multitone", length=2, harmonics=(0.25, -0.25), amplitudes=(1e308, -1e308)
+        )
+        with pytest.raises(ValueError, match="^the ground truth overflows float64$"):
+            upsample_error_study(spec, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_difference_that_overflows_is_one_value_error(self):
+        # every route's output fits, but the sinc baseline's ringing minus
+        # the constant 1.2e308 does not
+        spec = SignalSpec(kind="tone", length=16, harmonics=(0.0,), amplitudes=(1.2e308,))
+        with pytest.raises(ValueError, match="^the difference overflows float64 at index"):
+            upsample_error_study(spec, 4)
+
 
 class TestBench:
     def test_rejects_too_few_repetitions(self):

@@ -170,7 +170,13 @@ class TestUpsample:
     @pytest.mark.parametrize("method", interpolate.METHODS)
     def test_overflow_diagnosed_in_one_line(self, tmp_path, capsys, method):
         src = tmp_path / "huge.csv"
-        write_sequence(Sequence([1.7e308] * 5, 1.0), src)
+        # alternating signs, because an odd-length constant interpolates to
+        # itself; the same record scaled by 2**-10 peaks past max/2**10, so
+        # the overflow is real
+        samples = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308])
+        scaled = interpolate.upsample(samples / 2**10, 2, method).samples.view(np.float64)
+        assert np.max(np.abs(scaled)) > np.finfo(np.float64).max / 2**10
+        write_sequence(Sequence(samples, 1.0), src)
         code, _, err = run(capsys, "upsample", "--in", str(src), "--factor", "2", "--method", method, "--out", "-")
         assert code == 1
         assert err.splitlines() == [

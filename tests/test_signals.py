@@ -92,6 +92,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             SignalSpec(length=8, **fields)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field,fields",
+        [
+            ("harmonics", dict(kind="tone", harmonics=([1.0],))),
+            ("harmonics", dict(kind="multitone", harmonics=((1.0, 2.0),))),
+            ("harmonics", dict(kind="tone", harmonics=1.0)),
+            ("pulse center", dict(kind="gaussian-pulse", center=[1.0])),
+            ("pulse width", dict(kind="gaussian-pulse", width=[1.0])),
+            ("pulse width", dict(kind="gaussian-pulse", width=[[2.0]])),
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=([1j],))),
+            ("band", dict(kind="bandlimited-random", band=[3])),
+        ],
+    )
+    def test_field_of_the_wrong_shape_is_one_value_error_naming_it(self, field, fields):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            SignalSpec(length=8, **fields)
+
     def test_pulse_defaults_resolved_on_the_spec(self):
         assert SignalSpec(kind="gaussian-pulse", length=16).center == 7.5
         assert SignalSpec(kind="gaussian-pulse", length=16).width == 2.0
@@ -250,3 +268,15 @@ class TestRefinedGridTruth:
         )
         got = signals._refined_grid_truth(spec, factor)
         assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "truth",
+        [generate, lambda spec: signals._refined_grid_truth(spec, 2)],
+        ids=["generate", "refined-grid"],
+    )
+    def test_truth_that_overflows_is_one_value_error(self, truth):
+        # 2e308 at every t; generate is the factor-1 truth, under the same converter
+        spec = SignalSpec(kind="multitone", length=4, harmonics=(0, 0), amplitudes=(1e308, 1e308))
+        with pytest.raises(ValueError, match="^the ground truth overflows float64$"):
+            truth(spec)

@@ -104,6 +104,12 @@ class TestNaive:
             idft_naive([])
 
 
+# 1.7e308 * (sign cos(theta) + j*sign sin(theta)) at theta = 2*pi*n/64: the
+# normalized transform at bin 1 is about 2.2e308, beyond float64
+_THETA = 2 * np.pi * np.arange(64) / 64
+CORNERS = 1.7e308 * (np.sign(np.cos(_THETA)) + 1j * np.sign(np.sin(_THETA)))
+
+
 class TestFast:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_matches_naive_small(self, n):
@@ -169,11 +175,28 @@ class TestFast:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "transform", [dft, idft, lambda x: dft(x, 8)], ids=["dft", "idft", "padded-dft"]
+        "transform,x",
+        [(dft, CORNERS), (idft, [1.7e308] * 5), (lambda x: dft(x, 65), CORNERS)],
+        ids=["dft", "idft", "padded-dft"],
     )
-    def test_overflow_is_one_value_error(self, transform):
+    def test_overflow_is_one_value_error(self, transform, x):
         with pytest.raises(ValueError, match="^the transform overflows float64$"):
-            transform([1.7e308] * 5)
+            transform(x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_result_that_fits_is_kept_when_the_sums_overflow(self):
+        # pocketfft divides by n after summing, and 2e308 overflows
+        np.testing.assert_array_equal(dft([1e308, 1e308]), [1e308, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("length", [None, 7, 65])
+    def test_scaled_retry_equals_transform_of_scaled_input(self, length):
+        # scaling by a power of two is exact, so the retry's bits are those
+        # of the transform of the scaled-down input, scaled back up
+        x = np.full(5, 1.7e308) * np.exp(0.4j * np.arange(5))
+        np.testing.assert_array_equal(
+            dft(x, length).view(np.uint64), (2**10 * dft(x / 2**10, length)).view(np.uint64)
+        )
 
 
 class TestZeroPad:
