@@ -29,7 +29,11 @@ The three methods of ``upsample`` write the same refined grid, and
 entry (q, r) of an (N, M) array, phase 0 (m = M*q) is the input copied
 bit for bit, and a method fills only phases 1..M-1.  That holds for the
 kernel sums too, because the Dirichlet and sinc kernels are exactly 1 at
-lag 0 and exactly 0 at the other multiples of M.
+lag 0 and exactly 0 at the other multiples of M.  ``_refine`` fills the
+phases under ``kernels._overflow_error``, the one float64-overflow
+converter, so an interpolant that does not fit float64 is one ValueError
+naming the largest input, with no RuntimeWarning.  Like ``dft``, the direct
+sums keep a result that fits when only their partial sums overflow.
 
 Note the Dirichlet interpolant is periodic and is exact only for signals
 whose harmonic content sits on the centered grid h = q - (N-1)/2,
@@ -38,7 +42,6 @@ it does not preserve constants off-grid for even N.
 """
 
 import math
-from contextlib import contextmanager
 from functools import lru_cache, partial
 
 import numpy as np
@@ -49,6 +52,7 @@ from .kernels import (
     _dirichlet,
     _dirichlet_lags,
     _half_turns,
+    _overflow_error,
     _pointwise_sum,
     _quotient,
     _sin_pi,
@@ -74,8 +78,7 @@ def _inputs(x, factor) -> tuple[Sequence, int]:
 
     This is the one place the refined length M*N is checked: an M*N above
     ``_MAX_COUNT``, more complex128 values than one array can hold, is one
-    ValueError naming M, N and M*N, raised before anything is allocated,
-    so every ValueError inside ``_overflow_guard`` is an overflow.
+    ValueError naming M, N and M*N, raised before anything is allocated.
     """
     seq = x if isinstance(x, Sequence) else Sequence(x)
     m_factor = _check_integer(factor, "upsampling factor", 1)
@@ -109,36 +112,16 @@ def _phase_tables(slopes, offsets, denominator: int, length: int) -> np.ndarray:
     return (factors[:, :rows, None] * factors[:, None, rows:]).reshape(len(factors), -1)[:, :length]
 
 
-@contextmanager
-def _overflow_guard(seq: Sequence):
-    """Run a route's arithmetic and build its output, blaming overflow.
-
-    The input is finite, so a non-finite output can only come from float64
-    overflow: numpy's warnings for it are silenced, and the ValueError of
-    the output's own finiteness check, or of a public transform that
-    overflows, is replaced by one that names the largest input.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            yield
-        except ValueError:
-            peak = float(np.max(np.abs(seq.samples.view(np.float64))))
-            raise ValueError(
-                "the result overflows float64; the largest input magnitude "
-                f"(real or imaginary part) is {peak!r}"
-            ) from None
-
-
 def _refine(seq: Sequence, factor: int, fill) -> Sequence:
     """``seq`` on the M-fold refined grid, with phases 1..M-1 written by ``fill``.
 
     The output is one M*N array viewed as an (N, M) grid whose column 0,
     phase 0, is the input copied bit for bit.  For M > 1,
-    ``fill(samples, grid)`` writes columns 1..M-1 in place.  That step and
-    the output's finiteness check run under ``_overflow_guard``, and the
-    output carries sample period Ts/M (None stays None).  A Ts/M that
-    underflows to 0 is checked first, outside the guard, so it is one
-    ValueError naming Ts and M, not an overflow.
+    ``fill(samples, grid)`` writes columns 1..M-1 in place, under
+    ``kernels._overflow_error``: the input is finite, so float64 overflow
+    there is a result that does not fit, one ValueError naming the largest
+    input.  The output carries sample period Ts/M (None stays None), and a
+    Ts/M that underflows to 0 is one ValueError naming Ts and M.
     """
     period = None if seq.sample_period is None else seq.sample_period / factor
     if period == 0.0:
@@ -150,10 +133,13 @@ def _refine(seq: Sequence, factor: int, fill) -> Sequence:
     out = np.empty(factor * n, dtype=np.complex128)
     grid = out.reshape(n, factor)
     grid[:, 0] = seq.samples
-    with _overflow_guard(seq):
-        if factor > 1:
+    if factor > 1:
+        with _overflow_error(
+            lambda: "the result overflows float64; the largest input magnitude (real or "
+            f"imaginary part) is {float(np.abs(seq.samples.view(np.float64)).max())!r}"
+        ):
             fill(seq.samples, grid)
-        return Sequence(out, period)
+    return Sequence(out, period)
 
 
 def sinc_interp(x, t):
@@ -304,11 +290,25 @@ def _lag_sum(kernel, samples, grid) -> None:
     numpy computes as a direct sum with no transform.  Its summation order
     is numpy's, so the sums agree with the entry-by-entry kernel matrix
     times the samples to a few ulps.
+
+    ``np.convolve``'s partial sums can overflow float64 where the result
+    fits, and numpy need not flag it, so the sums are checked instead.
+    Only when one is not finite are they redone on the samples divided by
+    a power of two above 2N, and multiplied back, as ``dft`` does: the
+    kernel is at most 1 in magnitude, so no scaled partial sum can
+    overflow, both scalings are exact, and only a result that does not
+    fit overflows, in the multiply, under the caller's
+    ``kernels._overflow_error``.
     """
     n, factor = grid.shape
     table = kernel(np.arange(-(n - 1) * factor, factor * n)).reshape(2 * n - 1, factor)
-    for r in range(1, factor):
-        grid[:, r] = np.convolve(table[:, r], samples, mode="valid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, factor):
+            grid[:, r] = np.convolve(table[:, r], samples, mode="valid")
+    if not np.isfinite(grid).all():
+        scale = 2.0 ** (n.bit_length() + 1)
+        _lag_sum(kernel, samples / scale, grid)
+        grid[:, 1:] *= scale
 
 
 def dirichlet_upsample_direct(x, factor) -> Sequence:
@@ -324,7 +324,10 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
     over the other phases, one ``np.convolve`` per phase.  Its kernel
     values are those of the entry-by-entry matrix, bit for bit, and its
     sums agree with that matrix times x to a few ulps.  The kernel is
-    real, so real inputs stay exactly real.
+    real, so real inputs stay exactly real.  Where the sums' partial sums
+    overflow float64 but the result fits, as for five samples of 1.7e308,
+    the result is kept (``_lag_sum``); a result that does not fit is one
+    ValueError naming the largest input.
     """
     seq, m_factor = _inputs(x, factor)
     kernel = partial(_dirichlet_lags, len(seq), m_factor)
@@ -337,10 +340,12 @@ def spectrum_upsample(x, factor) -> np.ndarray:
     Returns the M*N values ``dft(x, M*N)`` as a finite complex array.  They
     sample the same normalized DTFT on an M-times denser grid, spacing
     2*pi/(M*N), so M*N*values[M*k] = N*dft(x)[k] at the shared points.
+    For M >= 2 each part of a value is at most 2/M times the largest input
+    part, so it fits float64; at M = 1 a spectrum that does not fit is
+    ``dft``'s own ValueError, "the transform overflows float64".
     """
     seq, m_factor = _inputs(x, factor)
-    with _overflow_guard(seq):
-        return dft(seq, m_factor * len(seq))
+    return dft(seq, m_factor * len(seq))
 
 
 def upsample(x, factor, method: str = "fft") -> Sequence:

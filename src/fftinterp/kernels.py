@@ -31,11 +31,11 @@ import numpy as np
 
 __all__ = ["sinc", "dirichlet", "psinc"]
 
-# Pointwise sums run in row blocks of at most this many kernel-matrix
-# entries, so peak memory does not grow with the number of points.  2**16
-# complex entries are 1 MB, small enough to stay in a core's L2 cache while
-# the product reads them.  A row's sum does not depend on the block it
-# falls in.
+# Pointwise sums, and psinc's replica sums, run in row blocks of at most
+# this many kernel-matrix entries, so peak memory does not grow with the
+# number of points.  2**16 complex entries are 1 MB, small enough to stay
+# in a core's L2 cache while the product reads them.  A row's sum does not
+# depend on the block it falls in.
 _BLOCK_ENTRIES = 1 << 16
 
 # The most complex128 values (16 bytes each) one numpy array can hold,
@@ -186,7 +186,10 @@ def psinc(order, truncation, w):
     The phase factor attached to each replica is exactly +/-1, so the sum is
     evaluated in real arithmetic with no spurious imaginary residue.  With
     L = 0 this degenerates to sinc(N*w/2); as L grows it converges to
-    dirichlet(N, w).
+    dirichlet(N, w).  The (points, 2L+1) replica matrix is evaluated in
+    row blocks of at most ``_BLOCK_ENTRIES`` entries (one row at least),
+    so memory grows with L but not with the number of points, and each
+    row is summed on its own, so a value does not depend on its block.
 
     Args:
         order: kernel order N >= 1.
@@ -200,9 +203,15 @@ def psinc(order, truncation, w):
     reps = _check_integer(truncation, "truncation", 0)
     shifts = np.arange(-reps, reps + 1)
     signs = 1.0 - 2.0 * (((n - 1) * shifts) & 1)
+    centers = 2.0 * np.pi * shifts
 
     def evaluate(flat):
-        return (signs * _sinc(0.5 * n * (flat[:, None] - 2.0 * np.pi * shifts))).sum(axis=-1)
+        out = np.empty(flat.size)
+        rows = max(1, _BLOCK_ENTRIES // shifts.size)
+        for lo in range(0, flat.size, rows):
+            block = flat[lo : lo + rows, None]
+            out[lo : lo + rows] = (signs * _sinc(0.5 * n * (block - centers))).sum(axis=-1)
+        return out
 
     return _pointwise(w, "kernel argument", evaluate)
 

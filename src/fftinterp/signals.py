@@ -114,7 +114,10 @@ class SignalSpec:
         if harmonics.ndim != 1:
             raise ValueError(f"harmonics must be a 1-D sequence, got {self.harmonics!r}")
         object.__setattr__(self, "harmonics", tuple(harmonics.tolist()))
-        amplitudes = tuple(self.amplitudes)
+        try:
+            amplitudes = tuple(self.amplitudes)
+        except TypeError:
+            raise ValueError(f"amplitudes must be a sequence, got {self.amplitudes!r}") from None
         if amplitudes:
             amplitudes = tuple(_finite_vector(amplitudes, "amplitudes").tolist())
         object.__setattr__(self, "amplitudes", amplitudes)

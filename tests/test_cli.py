@@ -184,6 +184,17 @@ class TestUpsample:
             "(real or imaginary part) is 1.7e+308"
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_direct_sum_whose_partial_sums_overflow_is_kept(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        write_sequence(Sequence(np.full(5, 1.7e308), 1.0), src)
+        for method in ("fft", "dirichlet"):
+            out = str(tmp_path / f"{method}.csv")
+            code, _, err = run(capsys, "upsample", "--in", str(src), "--factor", "2", "--method", method, "--out", out)
+            assert (code, err) == (0, "")
+        fast, direct = (read_sequence(tmp_path / f"{m}.csv").samples for m in ("fft", "dirichlet"))
+        assert np.max(np.abs(fast - direct)) <= 1e293
+
     def test_period_that_underflows_diagnosed_in_one_line(self, tmp_path, capsys):
         src = tmp_path / "tiny.csv"
         src.write_text("# Ts=5e-324\nn,re,im\n0,1.0,0.0\n1,1.0,0.0\n")
@@ -216,6 +227,18 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--in", str(src), "--factor", "0", "--out", "-")
         assert code == 1
         assert "--factor" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unpadded_spectrum_that_overflows_diagnosed_in_one_line(self, tmp_path, capsys):
+        # 1.7e308 * (sign cos(theta) + j*sign sin(theta)) at theta = 2*pi*n/64:
+        # the normalized transform at bin 1 is about 2.2e308, beyond float64
+        theta = 2 * np.pi * np.arange(64) / 64
+        corners = 1.7e308 * (np.sign(np.cos(theta)) + 1j * np.sign(np.sin(theta)))
+        src = tmp_path / "corners.csv"
+        write_sequence(Sequence(corners), src)
+        code, out, err = run(capsys, "spectrum", "--in", str(src), "--factor", "1", "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: the transform overflows float64"]
 
     def test_out_of_memory_diagnosed(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):

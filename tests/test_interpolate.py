@@ -638,6 +638,50 @@ class TestOverflow:
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "route",
+        [dirichlet_upsample_direct, lambda x, factor: upsample(x, factor, "dirichlet")],
+        ids=["dirichlet_upsample_direct", "upsample-dirichlet"],
+    )
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_direct_sum_keeps_a_result_whose_partial_sums_overflow(self, route, factor):
+        # np.convolve's partial sums of five 1.7e308 overflow; the interpolant
+        # fits, so the sums are redone on the record over 2**k and multiplied
+        # back, exactly
+        x = np.full(5, 1.7e308)
+        k = len(x).bit_length() + 1
+        got = route(x, factor).samples
+        expected = 2**k * dirichlet_upsample_direct(x / 2**k, factor).samples
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        fast = fft_upsample(x, factor).samples
+        assert np.max(np.abs(got - fast)) <= 4e-15 * 1.7e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_sinc_sum_that_does_not_fit_is_still_refused(self, factor):
+        # the retry's bound: the sinc interpolant of the same record exceeds
+        # float64, since 2**k times that of the record over 2**k peaks past
+        # the largest float, so the multiply back overflows
+        x = np.full(5, 1.7e308)
+        k = len(x).bit_length() + 1
+        scaled = upsample(x / 2**k, factor, "sinc").samples.view(np.float64)
+        assert np.max(np.abs(scaled)) > np.finfo(np.float64).max / 2**k
+        with pytest.raises(ValueError, match=r"^the result overflows float64; .* 1\.7e\+308$"):
+            upsample(x, factor, "sinc")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_fast_route_spectrum_that_overflows_is_one_value_error(self, factor):
+        # the twisted input's spectrum at bin 2 is (1 + 4/sqrt(3))/3 * 1.7e308,
+        # beyond float64, so the fast route's forward transform refuses it;
+        # the oracle agrees that the interpolant does not fit
+        x = 1.7e308 * np.array([1, -1 / np.sqrt(3) + 1j, -1 / np.sqrt(3) - 1j])
+        with pytest.raises(ValueError, match="overflows float64"):
+            fft_upsample(x, factor)
+        scaled = dirichlet_upsample_direct(x / 16, factor).samples.view(np.float64)
+        assert np.max(np.abs(scaled)) > np.finfo(np.float64).max / 16
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fast_route_keeps_a_constant_whose_sums_overflow(self):
         # 255 * 1e306 overflows inside the forward transform; the result does not
         x = np.full(255, 1e306)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fftinterp.interpolate import dirichlet_interp_spectrum
-from fftinterp.kernels import _dirichlet_lags, dirichlet, psinc, sinc
+from fftinterp.kernels import _BLOCK_ENTRIES, _dirichlet_lags, dirichlet, psinc, sinc
 from fftinterp.signals import SignalSpec, eval_ground_truth
 from fftinterp.transforms import Sequence, dtft_at
 
@@ -114,6 +115,33 @@ def test_psinc_zero_argument():
 def test_psinc_rejects_negative_truncation():
     with pytest.raises(ValueError):
         psinc(4, -1, 0.0)
+
+
+@pytest.mark.parametrize("order", [5, 8])
+@pytest.mark.parametrize("truncation", [0, 2, 5, 10, 20, 200, 3000])
+def test_psinc_row_blocks_keep_every_row_sum_bit_for_bit(order, truncation):
+    # three full row blocks and a partial one, against the whole replica
+    # matrix summed row by row at once
+    rows = max(1, _BLOCK_ENTRIES // (2 * truncation + 1))
+    w = np.linspace(-np.pi, np.pi, 3 * rows + 1)
+    shifts = np.arange(-truncation, truncation + 1)
+    signs = 1.0 - 2.0 * (((order - 1) * shifts) & 1)
+    whole = (signs * sinc(0.5 * order * (w[:, None] - 2.0 * np.pi * shifts))).sum(axis=-1)
+    got = psinc(order, truncation, w)
+    np.testing.assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+def test_psinc_memory_does_not_grow_with_points_times_truncation():
+    # the whole 1024 x 8001 replica matrix takes 66 MB per temporary
+    w = np.linspace(-np.pi, np.pi, 1024)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        psinc(8, 4000, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_psinc_converges_below_minus_55_db():

@@ -103,12 +103,20 @@ class TestSpecValidation:
             ("pulse width", dict(kind="gaussian-pulse", width=[1.0])),
             ("pulse width", dict(kind="gaussian-pulse", width=[[2.0]])),
             ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=([1j],))),
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=1.0)),
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=object())),
             ("band", dict(kind="bandlimited-random", band=[3])),
         ],
     )
     def test_field_of_the_wrong_shape_is_one_value_error_naming_it(self, field, fields):
         with pytest.raises(ValueError, match=f"^{field} must "):
             SignalSpec(length=8, **fields)
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([])], ids=["tuple", "list", "array"])
+    def test_empty_amplitudes_mean_unset(self, empty):
+        spec = SignalSpec(kind="tone", length=8, harmonics=(1.0,), amplitudes=empty)
+        assert spec.amplitudes == ()
+        assert spec == SignalSpec(kind="tone", length=8, harmonics=(1.0,))
 
     def test_pulse_defaults_resolved_on_the_spec(self):
         assert SignalSpec(kind="gaussian-pulse", length=16).center == 7.5
