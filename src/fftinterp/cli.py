@@ -115,7 +115,13 @@ def _cmd_kernels(args) -> int:
     if not truncations or any(trunc < 0 for trunc in truncations):
         raise ValueError("--l expects non-negative truncations")
     start, stop, count = _parse_grid(args.grid)
-    rows = analysis.kernel_discrepancy(args.n, truncations, np.linspace(start, stop, count))
+    try:
+        rows = analysis.kernel_discrepancy(args.n, truncations, np.linspace(start, stop, count))
+    except MemoryError:
+        raise MemoryError(
+            f"out of memory: --l {max(truncations)} needs {2 * max(truncations) + 1} "
+            f"replicas at each of the {count} points of --grid"
+        ) from None
     metadata = {
         "n": str(args.n),
         "l": ",".join(str(trunc) for trunc in truncations),

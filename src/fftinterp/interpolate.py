@@ -32,8 +32,10 @@ kernel sums too, because the Dirichlet and sinc kernels are exactly 1 at
 lag 0 and exactly 0 at the other multiples of M.  ``_refine`` fills the
 phases under ``kernels._overflow_error``, the one float64-overflow
 converter, so an interpolant that does not fit float64 is one ValueError
-naming the largest input, with no RuntimeWarning.  Like ``dft``, the direct
-sums keep a result that fits when only their partial sums overflow.
+naming the largest input, with no RuntimeWarning.  Like ``dft``, every
+route keeps a result that fits when only the sums inside it overflow,
+through the one rule ``kernels._fitting``: the fill is redone on the
+input scaled down by a power of two and its phases scaled back, exactly.
 
 Note the Dirichlet interpolant is periodic and is exact only for signals
 whose harmonic content sits on the centered grid h = q - (N-1)/2,
@@ -51,6 +53,7 @@ from .kernels import (
     _check_integer,
     _dirichlet,
     _dirichlet_lags,
+    _fitting,
     _half_turns,
     _overflow_error,
     _pointwise_sum,
@@ -118,10 +121,12 @@ def _refine(seq: Sequence, factor: int, fill) -> Sequence:
     The output is one M*N array viewed as an (N, M) grid whose column 0,
     phase 0, is the input copied bit for bit.  For M > 1,
     ``fill(samples, grid)`` writes columns 1..M-1 in place, under
-    ``kernels._overflow_error``: the input is finite, so float64 overflow
-    there is a result that does not fit, one ValueError naming the largest
-    input.  The output carries sample period Ts/M (None stays None), and a
-    Ts/M that underflows to 0 is one ValueError naming Ts and M.
+    ``kernels._overflow_error`` and ``kernels._fitting``: a fill whose
+    sums overflow is redone on the scaled-down input and its columns
+    scaled back, so only a result that does not fit float64 is one
+    ValueError naming the largest input.  The output carries sample
+    period Ts/M (None stays None), and a Ts/M that underflows to 0 is one
+    ValueError naming Ts and M.
     """
     period = None if seq.sample_period is None else seq.sample_period / factor
     if period == 0.0:
@@ -138,7 +143,7 @@ def _refine(seq: Sequence, factor: int, fill) -> Sequence:
             lambda: "the result overflows float64; the largest input magnitude (real or "
             f"imaginary part) is {float(np.abs(seq.samples.view(np.float64)).max())!r}"
         ):
-            fill(seq.samples, grid)
+            _fitting(lambda s: fill(s, grid) or grid[:, 1:], seq.samples, n)
     return Sequence(out, period)
 
 
@@ -292,13 +297,10 @@ def _lag_sum(kernel, samples, grid) -> None:
     times the samples to a few ulps.
 
     ``np.convolve``'s partial sums can overflow float64 where the result
-    fits, and numpy need not flag it, so the sums are checked instead.
-    Only when one is not finite are they redone on the samples divided by
-    a power of two above 2N, and multiplied back, as ``dft`` does: the
-    kernel is at most 1 in magnitude, so no scaled partial sum can
-    overflow, both scalings are exact, and only a result that does not
-    fit overflows, in the multiply, under the caller's
-    ``kernels._overflow_error``.
+    fits, and numpy need not flag it, so the sums are checked instead: a
+    sum that is not finite raises FloatingPointError, for ``_refine``'s
+    ``kernels._fitting`` to redo them on scaled-down samples.  The kernel
+    is at most 1 in magnitude, so no scaled partial sum can overflow.
     """
     n, factor = grid.shape
     table = kernel(np.arange(-(n - 1) * factor, factor * n)).reshape(2 * n - 1, factor)
@@ -306,9 +308,7 @@ def _lag_sum(kernel, samples, grid) -> None:
         for r in range(1, factor):
             grid[:, r] = np.convolve(table[:, r], samples, mode="valid")
     if not np.isfinite(grid).all():
-        scale = 2.0 ** (n.bit_length() + 1)
-        _lag_sum(kernel, samples / scale, grid)
-        grid[:, 1:] *= scale
+        raise FloatingPointError("overflow in the lag sums")
 
 
 def dirichlet_upsample_direct(x, factor) -> Sequence:
@@ -326,7 +326,7 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
     sums agree with that matrix times x to a few ulps.  The kernel is
     real, so real inputs stay exactly real.  Where the sums' partial sums
     overflow float64 but the result fits, as for five samples of 1.7e308,
-    the result is kept (``_lag_sum``); a result that does not fit is one
+    the result is kept (``_refine``); a result that does not fit is one
     ValueError naming the largest input.
     """
     seq, m_factor = _inputs(x, factor)

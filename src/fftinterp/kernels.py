@@ -16,7 +16,12 @@ cancels near the singular points, and the error is about |w|*N*eps, from
 rounding w/(2*pi).  The pointwise sums of other modules (``sinc_interp``,
 ``dtft_at``, ``dirichlet_interp_spectrum``) evaluate their kernel matrix a
 block of rows at a time through ``_pointwise_sum``, so their memory is
-bounded whatever the number of points.  The quadratic-time oracles in
+bounded whatever the number of points.  ``_overflow_error`` is the one
+float64-overflow converter, and ``_fitting`` the one rule for sums that
+overflow only on the way: it reruns them on the samples scaled down by a
+power of two and scales the result back, exactly, so only a result that
+does not fit float64 is refused.  ``dft``, every upsampling route and the
+pointwise sums go through both.  The quadratic-time oracles in
 ``interpolate`` use private forms of the Dirichlet and sinc kernels at the
 integer lags of the refined grid, built from integers and a table of M
 sines, so they are exact to a few ulps for any N and exactly 0 or 1 where
@@ -26,6 +31,7 @@ the kernel is.
 import math
 import numbers
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -89,6 +95,27 @@ def _overflow_error(describe):
         raise ValueError(describe()) from None
 
 
+def _fitting(run, samples, terms: int) -> np.ndarray:
+    """``run(samples)``, kept when only the sums inside it overflow float64.
+
+    ``run`` returns an array of sums of at most ``terms`` samples, each
+    times a factor of magnitude at most 1, and is called under the
+    caller's ``_overflow_error``, so overflow raises FloatingPointError.
+    Then it runs again on the samples divided by a power of two above
+    2*terms, where no sum can overflow, and the array it returns is
+    multiplied back in place.  Both scalings are exact, so only a result
+    that does not fit raises, in the multiply, for the caller's converter
+    to name.
+    """
+    try:
+        return run(samples)
+    except FloatingPointError:
+        scale = 2.0 ** (terms.bit_length() + 1)
+        out = run(samples / scale)
+        out *= scale
+        return out
+
+
 def _pointwise(value, name: str, evaluate):
     """``evaluate`` at every entry of the real argument ``value``, shaped like it.
 
@@ -114,17 +141,18 @@ def _pointwise_sum(value, name: str, samples, kernel):
     ``kernel`` maps a block of points to its (points, N) kernel matrix.
     Blocks hold at most ``_BLOCK_ENTRIES`` entries, so peak memory does not
     grow with the number of points, and each row's sum is one
-    matrix-vector product.
+    matrix-vector product.  Where only those sums overflow float64, the
+    result that fits is kept (``_fitting``).
     """
 
-    def evaluate(points):
+    def evaluate(points, samples):
         out = np.empty(points.size, dtype=np.complex128)
         rows = max(1, _BLOCK_ENTRIES // samples.size)
         for lo in range(0, points.size, rows):
             out[lo : lo + rows] = kernel(points[lo : lo + rows]) @ samples
         return out
 
-    return _pointwise(value, name, evaluate)
+    return _pointwise(value, name, lambda p: _fitting(partial(evaluate, p), samples, samples.size))
 
 
 def sinc(w):

@@ -11,8 +11,9 @@ numbers are one ValueError naming them.  Finite input is an error only
 when its transform overflows float64: then it is one ValueError that says
 so, with no RuntimeWarning, through ``kernels._overflow_error``, the
 converter the pointwise kernels use too.  Where only pocketfft's sums
-overflow, before its 1/N, ``dft`` transforms a copy scaled down by a power
-of two and scales the result back, exactly.
+overflow, before its 1/N, ``dft`` keeps the result through
+``kernels._fitting``, the rule every upsampling route and pointwise sum
+follows.
 ``_ifft`` is the raw inverse behind ``idft``, for callers that have
 validated their input and want the result written in place.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_integer, _half_turns, _overflow_error, _pointwise_sum
+from .kernels import _check_integer, _fitting, _half_turns, _overflow_error, _pointwise_sum
 
 __all__ = [
     "Sequence",
@@ -124,24 +125,16 @@ def dft(x, n: int | None = None) -> np.ndarray:
     pocketfft applies the 1/n after summing, so input near the float64
     limit can overflow the sums while the result fits.  Only then, the
     input is transformed again divided by a power of two above 2n and the
-    result multiplied back; both scalings are exact, so the values are
-    those of the scaled-down input's transform, bit for bit.  A result
-    that overflows float64 is one ValueError that says so.
+    result multiplied back (``kernels._fitting``); both scalings are
+    exact, so the values are those of the scaled-down input's transform,
+    bit for bit.  A result that overflows float64 is one ValueError that
+    says so.
     """
     a = _as_samples(x)
     if n is not None:
         n = _check_integer(n, "new length", a.size)
     with _overflow_error(_transform_overflows):
-        try:
-            return np.fft.fft(a, n=n, norm="forward")
-        except FloatingPointError:
-            # pocketfft applies 1/n after summing, so the sums can overflow
-            # where the result fits.  Retry on a copy divided by a power of
-            # two above 2n: a sum of n terms, each part at most sqrt(2)
-            # times the largest input part, stays below that part.  Both
-            # scalings are exact, so only a result that overflows raises.
-            scale = 2.0 ** ((n or a.size).bit_length() + 1)
-            return np.fft.fft(a / scale, n=n, norm="forward") * scale
+        return _fitting(lambda s: np.fft.fft(s, n=n, norm="forward"), a, n or a.size)
 
 
 def idft(X) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fftinterp import interpolate
+from fftinterp import analysis, interpolate
 from fftinterp.cli import main
 from fftinterp.kernels import _MAX_COUNT
 from fftinterp.seqio import ParseError, read_sequence, write_sequence
@@ -293,6 +293,20 @@ class TestKernels:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "--grid" in lines[0], lines
+
+
+    def test_out_of_memory_names_the_truncation(self, capsys, monkeypatch):
+        # the allocation failure is simulated; nothing large is allocated
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, "kernel_discrepancy", exhausted)
+        code, out, err = run(capsys, "kernels", "--l", "0,100000000", "--out", "-")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: out of memory: --l 100000000 needs 200000001 replicas at each of "
+            "the 1024 points of --grid"
+        ]
 
 
 class TestCompare:

@@ -682,6 +682,69 @@ class TestOverflow:
         assert np.max(np.abs(scaled)) > np.finfo(np.float64).max / 16
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fast_route_keeps_a_tone_whose_inverse_sums_overflow(self):
+        # a tone on the centered grid, of magnitude 1.3e308 everywhere: the
+        # inverse transforms' sums overflow, the interpolant fits, so the
+        # fill is redone on the record over 2**k and multiplied back, exactly
+        x = 1.3e308 * np.exp(-5j * np.pi * np.arange(8) / 8)
+        k = len(x).bit_length() + 1
+        got = fft_upsample(x, 2).samples
+        expected = 2**k * fft_upsample(x / 2**k, 2).samples
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        direct = dirichlet_upsample_direct(x, 2).samples
+        assert np.max(np.abs(got - direct)) <= 4e-15 * 1.3e308
+        assert np.max(np.abs(got)) == pytest.approx(1.3e308, rel=4e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, factor, seed", [(3, 4, 1), (255, 3, 0)])
+    def test_fast_route_keeps_random_records_at_the_float64_limit(self, n, factor, seed):
+        # the largest part is 1.7e308; the fast route's sums overflow where
+        # the oracle's interpolant fits, and both return it
+        record = random_complex(n, seed)
+        x = record / np.max(np.abs(record.view(np.float64))) * 1.7e308
+        fast = fft_upsample(x, factor).samples
+        direct = dirichlet_upsample_direct(x, factor).samples
+        assert np.max(np.abs(fast - direct)) <= 4e-15 * 1.7e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pointwise_sinc_sum_keeps_a_value_whose_partial_sums_overflow(self):
+        # the terms at n = 2 and 3 are each 2/pi * 1.7e308, so their sum
+        # overflows; the whole sum is 0.976 * 1.7e308
+        x = Sequence([1.7e308] * 5, sample_period=1.0)
+        got = sinc_interp(x, 2.5)
+        assert got == 2**4 * sinc_interp(Sequence([1.7e308 / 2**4] * 5, 1.0), 2.5)
+        if np.finfo(np.longdouble).max <= np.finfo(np.float64).max:
+            pytest.skip("long double has no wider range than float64 here")
+        u = np.longdouble(2.5) - np.arange(5, dtype=np.longdouble)
+        reference = float(np.longdouble(1.7e308) * np.sum(np.sin(np.pi * u) / (np.pi * u)))
+        assert got.imag == 0.0
+        assert abs(got.real - reference) <= 1e-15 * reference
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pointwise_sinc_sum_that_does_not_fit_is_still_refused(self):
+        # at t = 0.5 the sum is 1.097 * 1.7e308, past the largest float
+        x = Sequence([1.7e308] * 5, sample_period=1.0)
+        scaled = sinc_interp(Sequence([1.7e308 / 2**4] * 5, 1.0), 0.5)
+        assert scaled.real > np.finfo(np.float64).max / 2**4
+        with pytest.raises(
+            ValueError, match=r"^the result overflows float64 at evaluation time 0\.5$"
+        ):
+            sinc_interp(x, 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pointwise_dirichlet_sum_keeps_a_value_whose_partial_sums_overflow(self):
+        # each X[k] undoes its kernel phase at w = pi, so term k is 1.7e308 *
+        # dirichlet(5, pi - 2*pi*k/5); the terms at k = 2 and 3 are each
+        # 0.647 * 1.7e308, and the whole sum is 1.7e308
+        n, w = 5, np.pi
+        offsets = w - 2 * np.pi * np.arange(n) / n
+        spectrum = 1.7e308 * np.exp(0.5j * (n - 1) * offsets)
+        got = dirichlet_interp_spectrum(spectrum, w)
+        assert got == 2**4 * dirichlet_interp_spectrum(spectrum / 2**4, w)
+        assert abs(got - 1.7e308 * np.sum(dirichlet(n, offsets))) <= 4e-15 * 1.7e308
+        assert abs(got - 1.7e308) <= 4e-15 * 1.7e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fast_route_keeps_a_constant_whose_sums_overflow(self):
         # 255 * 1e306 overflows inside the forward transform; the result does not
         x = np.full(255, 1e306)
