@@ -13,15 +13,18 @@ The Dirichlet kernel writes w = 2*pi*(m + f) with m the nearest integer and
 takes both sines at the one reduced angle h = pi*f:
 (-1)**(m*(N-1)) * sin(N*h) / (N*sin(h)), set to the sign at h = 0.  Nothing
 cancels near the singular points, and the error is about |w|*N*eps, from
-rounding w/(2*pi).  The pointwise sums of other modules (``sinc_interp``,
-``dtft_at``, ``dirichlet_interp_spectrum``) evaluate their kernel matrix a
-block of rows at a time through ``_pointwise_sum``, so their memory is
-bounded whatever the number of points.  ``_overflow_error`` is the one
+rounding w/(2*pi).  ``_in_blocks`` is the one row-block loop: the kernels
+here, ``psinc``'s replica sums, the pointwise sums of other modules
+(``sinc_interp``, ``dtft_at``, ``dirichlet_interp_spectrum``) and the
+naive DFT oracles (``dft_naive``, ``idft_naive``) evaluate their kernel
+matrix a block of rows at a time through it, so their memory is bounded
+whatever the number of points.  ``_overflow_error`` is the one
 float64-overflow converter, and ``_fitting`` the one rule for sums that
 overflow only on the way: it reruns them on the samples scaled down by a
 power of two and scales the result back, exactly, so only a result that
-does not fit float64 is refused.  ``dft``, every upsampling route and the
-pointwise sums go through both.  The quadratic-time oracles in
+does not fit float64 is refused.  ``dft``, ``idft``, the naive oracles,
+every upsampling route and the pointwise sums go through both.  The
+quadratic-time oracles in
 ``interpolate`` use private forms of the Dirichlet and sinc kernels at the
 integer lags of the refined grid, built from integers and a table of M
 sines, so they are exact to a few ulps for any N and exactly 0 or 1 where
@@ -31,16 +34,15 @@ the kernel is.
 import math
 import numbers
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
 __all__ = ["sinc", "dirichlet", "psinc"]
 
-# Pointwise sums, and psinc's replica sums, run in row blocks of at most
-# this many kernel-matrix entries, so peak memory does not grow with the
-# number of points.  2**16 complex entries are 1 MB, small enough to stay
-# in a core's L2 cache while the product reads them.  A row's sum does not
+# ``_in_blocks`` evaluates kernel rows in blocks of at most this many
+# kernel-matrix entries, so peak memory does not grow with the number of
+# points.  2**16 complex entries are 1 MB, small enough to stay in a
+# core's L2 cache while the product reads them.  A row's sum does not
 # depend on the block it falls in.
 _BLOCK_ENTRIES = 1 << 16
 
@@ -116,43 +118,50 @@ def _fitting(run, samples, terms: int) -> np.ndarray:
         return out
 
 
-def _pointwise(value, name: str, evaluate):
+def _in_blocks(points, width: int, evaluate) -> np.ndarray:
+    """``evaluate`` on blocks of the 1-D ``points``, the results joined in order.
+
+    ``width`` is the length of the kernel row each point needs, and a
+    block holds as many points as fit in ``_BLOCK_ENTRIES`` entries (one
+    at least), so peak memory is bounded whatever the number of points.
+    Empty ``points`` are evaluated once, so the result keeps
+    ``evaluate``'s dtype.
+    """
+    rows = max(1, _BLOCK_ENTRIES // width)
+    starts = range(0, max(points.size, 1), rows)
+    return np.concatenate([evaluate(points[lo : lo + rows]) for lo in starts])
+
+
+def _pointwise(value, name: str, evaluate, width: int = 1):
     """``evaluate`` at every entry of the real argument ``value``, shaped like it.
 
     ``value`` must be finite (a ValueError names it otherwise).
-    ``evaluate`` maps a flat float array to one result per entry; a scalar
-    ``value`` gets its result back as a Python scalar, through ``item``,
-    so a float result stays a float and a complex one a complex.  A finite
-    argument so large that the evaluation overflows float64 is one
-    ValueError naming the argument of largest magnitude, through
-    ``_overflow_error``, not a warning.
+    ``evaluate`` maps a flat float array to one result per entry, and runs
+    on blocks of points through ``_in_blocks``, with ``width`` the length
+    of its kernel row: 1 for an elementwise kernel, N for a sum over N
+    samples.  A scalar ``value`` gets its result back as a Python scalar,
+    through ``item``, so a float result stays a float and a complex one a
+    complex.  A finite argument so large that the evaluation overflows
+    float64 is one ValueError naming the argument of largest magnitude,
+    through ``_overflow_error``, not a warning.
     """
     arr = _finite_floats(value, name)
     flat = np.atleast_1d(arr).ravel()
     peak = lambda: float(flat[np.abs(flat).argmax()])  # noqa: E731
     with _overflow_error(lambda: f"the result overflows float64 at {name} {peak()!r}"):
-        out = evaluate(flat).reshape(arr.shape)
+        out = _in_blocks(flat, width, evaluate).reshape(arr.shape)
     return out if arr.ndim else out.item()
 
 
 def _pointwise_sum(value, name: str, samples, kernel):
     """sum_k kernel(p)[k] * samples[k] at every point p of ``value``, shaped like it.
 
-    ``kernel`` maps a block of points to its (points, N) kernel matrix.
-    Blocks hold at most ``_BLOCK_ENTRIES`` entries, so peak memory does not
-    grow with the number of points, and each row's sum is one
-    matrix-vector product.  Where only those sums overflow float64, the
-    result that fits is kept (``_fitting``).
+    ``kernel`` maps a block of points to its (points, N) kernel matrix, and
+    each row's sum is one matrix-vector product.  Where only a block's
+    sums overflow float64, the result that fits is kept (``_fitting``).
     """
-
-    def evaluate(points, samples):
-        out = np.empty(points.size, dtype=np.complex128)
-        rows = max(1, _BLOCK_ENTRIES // samples.size)
-        for lo in range(0, points.size, rows):
-            out[lo : lo + rows] = kernel(points[lo : lo + rows]) @ samples
-        return out
-
-    return _pointwise(value, name, lambda p: _fitting(partial(evaluate, p), samples, samples.size))
+    n = samples.size
+    return _pointwise(value, name, lambda p: _fitting(lambda s: kernel(p) @ s, samples, n), n)
 
 
 def sinc(w):
@@ -215,9 +224,9 @@ def psinc(order, truncation, w):
     evaluated in real arithmetic with no spurious imaginary residue.  With
     L = 0 this degenerates to sinc(N*w/2); as L grows it converges to
     dirichlet(N, w).  The (points, 2L+1) replica matrix is evaluated in
-    row blocks of at most ``_BLOCK_ENTRIES`` entries (one row at least),
-    so memory grows with L but not with the number of points, and each
-    row is summed on its own, so a value does not depend on its block.
+    row blocks (``_in_blocks``), so memory grows with L but not with the
+    number of points, and each row is summed on its own, so a value does
+    not depend on its block.
 
     Args:
         order: kernel order N >= 1.
@@ -233,15 +242,10 @@ def psinc(order, truncation, w):
     signs = 1.0 - 2.0 * (((n - 1) * shifts) & 1)
     centers = 2.0 * np.pi * shifts
 
-    def evaluate(flat):
-        out = np.empty(flat.size)
-        rows = max(1, _BLOCK_ENTRIES // shifts.size)
-        for lo in range(0, flat.size, rows):
-            block = flat[lo : lo + rows, None]
-            out[lo : lo + rows] = (signs * _sinc(0.5 * n * (block - centers))).sum(axis=-1)
-        return out
+    def evaluate(block):
+        return (signs * _sinc(0.5 * n * (block[:, None] - centers))).sum(axis=-1)
 
-    return _pointwise(w, "kernel argument", evaluate)
+    return _pointwise(w, "kernel argument", evaluate, shifts.size)
 
 
 # sin(pi*h/2 + x) for h = 0..3 mod 4 is sin x, cos x, -sin x, -cos x.

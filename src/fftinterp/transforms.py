@@ -3,15 +3,17 @@
 The forward transform carries the 1/N factor and the inverse carries none,
 so ``idft(dft(x)) == x`` and the DFT values are samples of the normalized
 DTFT ``dtft_at``.  ``dft_naive``/``idft_naive`` are the quadratic-time
-reference implementations kept as oracles; ``dft``/``idft`` are the fast
+reference implementations kept as oracles; they gather their twiddle rows a
+block at a time from one table of N twiddles (``kernels._in_blocks``), so
+their memory grows as N, not N**2.  ``dft``/``idft`` are the fast
 O(N log N) routes for every length: numpy's pocketfft under
 ``norm="forward"``, which is this convention exactly.  Nothing is cached
 between calls.  Samples or a sample period that do not convert to finite
 numbers are one ValueError naming them.  Finite input is an error only
 when its transform overflows float64: then it is one ValueError that says
 so, with no RuntimeWarning, through ``kernels._overflow_error``, the
-converter the pointwise kernels use too.  Where only pocketfft's sums
-overflow, before its 1/N, ``dft`` keeps the result through
+converter the pointwise kernels use too.  Where only the sums overflow,
+``dft``, ``idft`` and the naive oracles keep the result that fits through
 ``kernels._fitting``, the rule every upsampling route and pointwise sum
 follows.
 ``_ifft`` is the raw inverse behind ``idft``, for callers that have
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_integer, _fitting, _half_turns, _overflow_error, _pointwise_sum
+from .kernels import _check_integer, _fitting, _half_turns, _in_blocks, _overflow_error, _pointwise
 
 __all__ = [
     "Sequence",
@@ -77,25 +79,37 @@ def _as_samples(x) -> np.ndarray:
     return x.samples if isinstance(x, Sequence) else _finite_vector(x, "samples")
 
 
-def _twiddles(n: int, sign: int) -> np.ndarray:
-    """exp(sign*2j*pi*k*m/N) for k, m = 0..N-1.
+def _naive(a: np.ndarray, sign: int, total) -> np.ndarray:
+    """``total(rows, samples)`` over the twiddle rows exp(sign*2j*pi*k*m/N), k = 0..N-1.
 
-    k*m is reduced mod N in integers, and the N distinct twiddles come from
-    ``_half_turns``, so each entry is within an ulp or so of exact for any N.
+    The rows are gathered a block at a time (``kernels._in_blocks``) from
+    one table of the N distinct twiddles, built by ``_half_turns`` with
+    k*m reduced mod N in integers, so each entry is within an ulp or so of
+    exact for any N and peak memory does not grow as N**2.  Each block's
+    sums are kept where only they overflow (``kernels._fitting``); a
+    result that does not fit is one ValueError that says so.
     """
-    indices = np.arange(n)
-    return _half_turns(2 * sign * indices, n)[np.outer(indices, indices) % n]
+    n = a.size
+    m = np.arange(n)
+    turns = _half_turns(2 * sign * m, n)
+
+    def block(k):
+        return _fitting(lambda s: total(turns[np.outer(k, m) % n], s), a, n)
+
+    with _overflow_error(_transform_overflows):
+        return _in_blocks(m, n, block)
 
 
 def dft_naive(x) -> np.ndarray:
     """Forward DFT by direct summation: X[k] = (1/N) sum_n x[n] e^{-2j pi nk/N}.
 
-    O(N^2); the reference oracle for the fast transform.  Its twiddles are
-    exact to about an ulp (``_twiddles``), so its error does not grow with
-    the phase k*n.
+    O(N^2) time in O(N) memory (``_naive``); the reference oracle for the
+    fast transform.  Its twiddles are exact to about an ulp, so its error
+    does not grow with the phase k*n.  The 1/N divides inside the kept
+    sum, so a result that fits is kept even where the sum does not.
     """
     a = _as_samples(x)
-    return (_twiddles(a.size, -1) @ a) / a.size
+    return _naive(a, -1, lambda rows, s: rows @ s / a.size)
 
 
 def idft_naive(X) -> np.ndarray:
@@ -103,8 +117,7 @@ def idft_naive(X) -> np.ndarray:
 
     Carries no normalization factor, so it inverts ``dft_naive`` exactly.
     """
-    a = _as_samples(X)
-    return _twiddles(a.size, 1) @ a
+    return _naive(_as_samples(X), 1, np.matmul)
 
 
 def _ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -138,10 +151,15 @@ def dft(x, n: int | None = None) -> np.ndarray:
 
 
 def idft(X) -> np.ndarray:
-    """Fast unnormalized inverse transform; matches ``idft_naive``."""
+    """Fast unnormalized inverse transform; matches ``idft_naive``.
+
+    Where only pocketfft's sums overflow, the result that fits is kept
+    (``kernels._fitting``), as in ``dft``; a result that overflows
+    float64 is one ValueError that says so.
+    """
     a = _as_samples(X)
     with _overflow_error(_transform_overflows):
-        return _ifft(a)
+        return _fitting(_ifft, a, a.size)
 
 
 def dtft_at(x, w):
@@ -149,7 +167,9 @@ def dtft_at(x, w):
 
     This continuum is the ground truth both interpolation routes sample:
     the DFT restricts it to the grid w = 2*pi*k/N, and zero-padding samples
-    it on a denser grid.
+    it on a denser grid.  The 1/N divides inside each block's kept sum
+    (``kernels._fitting``), so a scalar ``w`` gives the array's entry bit
+    for bit, and a value that fits is kept where the sum overflows.
 
     Args:
         x: sequence (or array) of N samples.
@@ -164,4 +184,4 @@ def dtft_at(x, w):
     def kernel(points):
         return np.exp(-1j * points[:, None] * np.arange(n))
 
-    return _pointwise_sum(w, "frequency", a, kernel) / n
+    return _pointwise(w, "frequency", lambda p: _fitting(lambda s: kernel(p) @ s / n, a, n), n)

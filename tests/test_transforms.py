@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -103,6 +104,20 @@ class TestNaive:
         with pytest.raises(ValueError):
             idft_naive([])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("transform", [dft_naive, idft_naive])
+    def test_memory_stays_linear_in_length(self, transform):
+        # the whole 4096 x 4096 twiddle matrix would take 268 MB
+        x = random_complex(4096, 23)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            transform(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 # 1.7e308 * (sign cos(theta) + j*sign sin(theta)) at theta = 2*pi*n/64: the
 # normalized transform at bin 1 is about 2.2e308, beyond float64
@@ -176,17 +191,35 @@ class TestFast:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "transform,x",
-        [(dft, CORNERS), (idft, [1.7e308] * 5), (lambda x: dft(x, 65), CORNERS)],
-        ids=["dft", "idft", "padded-dft"],
+        [
+            (dft, CORNERS),
+            (idft, [1.7e308] * 5),
+            (lambda x: dft(x, 65), CORNERS),
+            (dft_naive, CORNERS),
+            (idft_naive, [1.7e308] * 5),
+        ],
+        ids=["dft", "idft", "padded-dft", "dft_naive", "idft_naive"],
     )
     def test_overflow_is_one_value_error(self, transform, x):
         with pytest.raises(ValueError, match="^the transform overflows float64$"):
             transform(x)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_result_that_fits_is_kept_when_the_sums_overflow(self):
-        # pocketfft divides by n after summing, and 2e308 overflows
-        np.testing.assert_array_equal(dft([1e308, 1e308]), [1e308, 0])
+    @pytest.mark.parametrize("transform", [dft, dft_naive])
+    def test_result_that_fits_is_kept_when_the_sums_overflow(self, transform):
+        # both divide by n after summing, and 2e308 overflows
+        np.testing.assert_array_equal(transform([1e308, 1e308]), [1e308, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_round_trip_keeps_records_at_the_float64_limit(self):
+        # pocketfft's inverse sums overflow on some of these records,
+        # although the result is x and fits
+        rng = np.random.default_rng(0)
+        for n in (3, 5, 8, 16):
+            for _ in range(35):
+                record = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                x = record / np.abs(record).max() * 1.7e308
+                assert np.max(np.abs(idft(dft(x)) - x)) <= 4e-16 * 1.7e308
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("length", [None, 7, 65])
@@ -244,3 +277,20 @@ class TestDtft:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dtft_at([1, 2], np.nan)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scalar_frequency_equals_array_entry_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 64))
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            w = float(rng.uniform(-10.0, 10.0))
+            scalar = np.array([dtft_at(x, w)])
+            assert np.array_equal(scalar.view(np.uint64), dtft_at(x, [w]).view(np.uint64))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mean_that_fits_is_kept_when_the_sum_overflows(self):
+        # 5 * 1.7e308 overflows; the 1/N divides inside the kept sum
+        got = dtft_at([1.7e308] * 5, 0.0)
+        assert got.imag == 0.0
+        assert abs(got.real - 1.7e308) <= np.spacing(1.7e308)
