@@ -120,17 +120,17 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int):
     """Run every interpolation method against ground truth on the refined grid.
 
     Returns one ``MethodStudy`` per method of ``interpolate.METHODS``, in
-    that order.  Interior points are those with N/4 <= m/M <= 3N/4; the
-    rest are edge points, where truncation (windowing) error concentrates.
-    Requires factor >= 2 so the refined grid actually contains off-sample
-    points.
+    that order.  Interior points are those with N/4 <= m/M <= 3N/4, the
+    one run of indices ceil(M*N/4) <= m <= floor(3*M*N/4), found in
+    integers; the rest are edge points, where truncation (windowing) error
+    concentrates, reported in index order.  Requires factor >= 2 so the
+    refined grid actually contains off-sample points.
     """
     m_factor = _check_integer(factor, "study factor", 2)
     x = signals.generate(spec)
-    n = spec.length
-    positions = np.arange(m_factor * n) / m_factor
+    points = m_factor * spec.length
+    lo, hi = -(-points // 4), 3 * points // 4 + 1
     truth = signals._refined_grid_truth(spec, m_factor)
-    interior = (positions >= n / 4) & (positions <= 3 * n / 4)
     studies = []
     for method in interpolate.METHODS:
         refined = interpolate.upsample(x, m_factor, method).samples
@@ -139,8 +139,8 @@ def upsample_error_study(spec: signals.SignalSpec, factor: int):
         studies.append(
             MethodStudy(
                 method=method,
-                interior=ErrorReport.from_difference(diff[interior]),
-                edge=ErrorReport.from_difference(diff[~interior]),
+                interior=ErrorReport.from_difference(diff[lo:hi]),
+                edge=ErrorReport.from_difference(np.concatenate((diff[:lo], diff[hi:]))),
             )
         )
     return studies

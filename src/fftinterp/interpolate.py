@@ -22,7 +22,9 @@ The twist, its conjugate and the M-1 ramps are built once per (N, M) and
 kept for the next call: (M+1)*N complex128 values, 5 MB at N = 65536,
 M = 4 and 80 MB at N = 10^6, M = 4.  Only the last (N, M) is kept, so a
 call with another (N, M) frees them when it builds its own.  The inverse
-transforms run in place, in one N-point buffer per call.
+transforms run in place in the twisted input, which is dead once it is
+transformed, so a call holds two N-point arrays: that buffer and the
+spectrum.
 
 The three methods of ``upsample`` write the same refined grid, and
 ``_refine`` is the one place that knows its layout: output m = M*q + r is
@@ -236,10 +238,10 @@ def _polyphase_tables(n: int, factor: int):
 
 
 def _polyphase(samples, grid) -> None:
-    """Phases 1..M-1 of ``fft_upsample``: one N-point dft, M-1 in-place inverses."""
+    """Phases 1..M-1 of ``fft_upsample``: one N-point dft, M-1 inverses in place in its input."""
     twist, untwist, ramps = _polyphase_tables(*grid.shape)
-    spectrum = dft(samples * twist)
-    work = np.empty_like(spectrum)
+    work = samples * twist
+    spectrum = dft(work)
     for r, ramp in enumerate(ramps, start=1):
         np.multiply(ramp, spectrum, out=work)
         _ifft(work, out=work)
@@ -270,8 +272,9 @@ def fft_upsample(x, factor) -> Sequence:
     itself, so it is the copy the refined grid starts from (module
     docstring).  The work is one forward and M-1 in-place inverse N-point
     transforms, O(MN log N), on phase tables kept from the last call of
-    the same (N, M) (module docstring), and the output is the only M*N
-    array the call allocates.
+    the same (N, M) (module docstring).  The inverses reuse the twisted
+    input as their buffer, so besides the output, the only M*N array, a
+    call allocates two N-point arrays: the twisted input and its spectrum.
 
     Every phase numerator is an integer reduced exactly in int64 before it
     reaches exp, and each table is the outer product of two

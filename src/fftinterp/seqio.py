@@ -7,11 +7,13 @@ A sequence file is:
     0,<re>,<im>            (one row per sample, contiguous 0-based index)
     ...
 
-Blank lines and ``#`` lines may also appear between rows.  Floats are
-serialized with shortest round-trip formatting (``repr``), so writing and
-re-reading reproduces every sample bit for bit; the reader also accepts any
-other spelling ``int`` and ``float`` accept.  Tables share the serialization
-and write an empty field for the -inf decibel sentinel.
+A metadata key or value may not hold a line break, which would end its
+line early.  Blank lines and ``#`` lines may also appear between rows.
+Floats are serialized with shortest round-trip formatting (``repr``), so
+writing and re-reading reproduces every sample bit for bit; the reader
+also accepts any other spelling ``int`` and ``float`` accept.  Tables share
+the serialization and metadata lines, and write an empty field for the
+-inf decibel sentinel.
 
 Sequence rows are handled a block of rows at a time, so that per-row work
 runs inside a few C-level calls and the whole text is never held at once:
@@ -77,6 +79,20 @@ def _write_text(sink, chunks):
             handle.write(chunk)
 
 
+def _metadata_lines(metadata) -> dict:
+    """The ``# key=value`` line of each metadata key, in the given order.
+
+    A key or value holding a line break would end its line early and
+    leave a file the reader refuses, so it is one ValueError naming the
+    key, raised before anything is written.
+    """
+    lines = {key: f"# {key}={value}" for key, value in (metadata or {}).items()}
+    for key, line in lines.items():
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"metadata {key!r} holds a line break in its key or value")
+    return lines
+
+
 def _format_rows(samples, start: int) -> str:
     """CSV text of the rows ``start, start + 1, ...`` holding ``samples``.
 
@@ -97,17 +113,16 @@ def write_sequence(x, sink, metadata=None):
 
     The sample period (when present) is emitted first as ``# Ts=...``;
     caller metadata follows in the given order, so identical inputs always
-    produce identical bytes.  Rows are formatted and written a block at a
-    time, so the whole text is never held at once.
+    produce identical bytes.  A metadata key or value holding a line break
+    is one ValueError naming the key, and nothing is written.  Rows are
+    formatted and written a block at a time, so the whole text is never
+    held at once.
     """
     seq = x if isinstance(x, Sequence) else Sequence(x)
     lines = []
     if seq.sample_period is not None:
         lines.append(f"# Ts={_format_float(seq.sample_period)}")
-    for key, value in (metadata or {}).items():
-        if key == "Ts":
-            continue
-        lines.append(f"# {key}={value}")
+    lines += [line for key, line in _metadata_lines(metadata).items() if key != "Ts"]
     lines.append(SEQUENCE_HEADER)
     samples = seq.samples
     blocks = (
@@ -228,10 +243,12 @@ def _parse_lines(lines) -> Sequence:
 def write_table(rows, column_names, sink, metadata=None):
     """Write analysis rows as CSV under the given header.
 
-    Optional metadata is emitted as leading ``# key=value`` lines.  A -inf
-    cell (the exact-zero decibel sentinel) serializes as an empty field.
+    Optional metadata is emitted as leading ``# key=value`` lines; a key or
+    value holding a line break is one ValueError naming the key, and
+    nothing is written.  A -inf cell (the exact-zero decibel sentinel)
+    serializes as an empty field.
     """
-    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    lines = list(_metadata_lines(metadata).values())
     lines.append(",".join(column_names))
     for row in rows:
         if len(row) != len(column_names):

@@ -117,7 +117,10 @@ class SignalSpec:
         try:
             amplitudes = tuple(self.amplitudes)
         except TypeError:
-            raise ValueError(f"amplitudes must be a sequence, got {self.amplitudes!r}") from None
+            amplitudes = None
+        # a str or bytes is iterable, but its characters are not amplitudes
+        if amplitudes is None or isinstance(self.amplitudes, (str, bytes)):
+            raise ValueError(f"amplitudes must be a sequence of numbers, got {self.amplitudes!r}")
         if amplitudes:
             amplitudes = tuple(_finite_vector(amplitudes, "amplitudes").tolist())
         object.__setattr__(self, "amplitudes", amplitudes)
@@ -217,15 +220,16 @@ def _refined_grid_truth(spec: SignalSpec, factor: int):
     """Ground truth at t = m/M for m = 0..M*N-1 (Ts = 1), the grid that M-fold
     upsampling fills.
 
-    ``_closed_form`` at the integer m over M: tone phases come from the
-    integer m, so they stay exact for every M, not only where m/M is a
-    dyadic float; for power-of-two M the result is bit for bit
-    ``eval_ground_truth(spec, np.arange(M*N) / M)``.  The Gaussian pulse
-    is evaluated at the float times m/M.  A truth that overflows float64 is
-    one ValueError that says so, with no RuntimeWarning.
+    ``_closed_form`` at the integer m over M.  The m are built once, as
+    float64 (exact below 2**53), so no tone converts them again.  Tone
+    phases come from the integer m, so they stay exact for every M, not
+    only where m/M is a dyadic float; for power-of-two M the result is bit
+    for bit ``eval_ground_truth(spec, np.arange(M*N) / M)``.  The Gaussian
+    pulse is evaluated at the float times m/M.  A truth that overflows
+    float64 is one ValueError that says so, with no RuntimeWarning.
     """
     with _overflow_error(lambda: "the ground truth overflows float64"):
-        return _closed_form(spec, np.arange(factor * spec.length), factor)
+        return _closed_form(spec, np.arange(factor * spec.length, dtype=np.float64), factor)
 
 
 def generate(spec: SignalSpec) -> Sequence:

@@ -14,7 +14,7 @@ from fftinterp.analysis import (
     to_db,
     upsample_error_study,
 )
-from fftinterp.interpolate import dirichlet_upsample_direct, fft_upsample
+from fftinterp.interpolate import dirichlet_upsample_direct, fft_upsample, upsample
 from fftinterp.signals import SignalSpec, _refined_grid_truth, generate, splitmix64
 from fftinterp.transforms import dft
 
@@ -194,6 +194,21 @@ class TestUpsampleErrorStudy:
         )
         study = {s.method: s for s in upsample_error_study(spec, 2)}["dirichlet"]
         assert max(study.interior.max_abs, study.edge.max_abs) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_interior_is_the_float_position_split(self, n):
+        # the study takes the interior N/4 <= m/M <= 3N/4 as one run of
+        # integer indices; each report equals that of the float-position mask
+        spec = SignalSpec(kind="bandlimited-random", length=n, seed=n)
+        x = generate(spec)
+        for factor in range(2, 9):
+            positions = np.arange(factor * n) / factor
+            interior = (positions >= n / 4) & (positions <= 3 * n / 4)
+            truth = _refined_grid_truth(spec, factor)
+            for study in upsample_error_study(spec, factor):
+                diff = upsample(x, factor, study.method).samples - truth
+                assert study.interior == ErrorReport.from_difference(diff[interior]), factor
+                assert study.edge == ErrorReport.from_difference(diff[~interior]), factor
 
     def test_gaussian_pulse_edges_dominate(self):
         spec = SignalSpec(kind="gaussian-pulse", length=64)

@@ -386,10 +386,14 @@ class TestDirichletUpsampleDirect:
         out = dirichlet_upsample_direct(x, 4).samples
         np.testing.assert_allclose(out[::4], x, rtol=0, atol=1e-12 * np.abs(x).max())
 
-    def test_real_kernel_keeps_real_input_real(self):
-        x = np.random.default_rng(71).standard_normal(11)
-        out = dirichlet_upsample_direct(x, 3).samples
-        assert np.abs(out.imag).max() <= 1e-12 * np.abs(x).max()
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 11, 255, 256])
+    @pytest.mark.parametrize("method", ["dirichlet", "sinc"])
+    def test_real_kernel_keeps_real_input_real(self, method, n, factor):
+        # both direct kernels are real, so every imaginary part is +0.0
+        x = np.random.default_rng(71).standard_normal(n)
+        imag = upsample(x, factor, method).samples.imag
+        assert not imag.any() and not np.signbit(imag).any()
 
     def test_factor_one_is_identity(self):
         x = random_complex(8, 72)

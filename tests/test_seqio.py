@@ -1,4 +1,5 @@
 import math
+import re
 from io import StringIO
 from pathlib import Path
 
@@ -388,6 +389,45 @@ class TestTables:
         write_table(rows, ("omega", "l", "value"), first, {"n": "8"})
         write_table(rows, ("omega", "l", "value"), second, {"n": "8"})
         assert first.getvalue() == second.getvalue()
+
+
+# metadata whose key or value holds a line break, and the key it names
+LINE_BREAKS = [({"note": "a\nb"}, "note"), ({"note": "a\rb"}, "note"), ({"a\r\nb": "1"}, "a\r\nb")]
+
+WRITERS = {
+    "sequence": lambda sink, metadata: write_sequence(
+        Sequence([1.0, 2j], sample_period=0.5), sink, metadata
+    ),
+    "table": lambda sink, metadata: write_table(
+        [(1, "fft", 0.5)], ("n", "method", "median_seconds"), sink, metadata
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+@pytest.mark.parametrize("metadata,key", LINE_BREAKS, ids=["value-lf", "value-cr", "key-crlf"])
+class TestMetadataLineBreaks:
+    def test_stream_sink_gets_nothing(self, writer, metadata, key):
+        sink = StringIO()
+        with pytest.raises(ValueError, match=re.escape(f"metadata {key!r} holds a line break")):
+            writer(sink, metadata)
+        assert sink.getvalue() == ""
+
+    def test_path_sink_is_neither_created_nor_truncated(self, writer, metadata, key, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for target in (new, old):
+            with pytest.raises(ValueError, match=re.escape(f"metadata {key!r} holds a line break")):
+                writer(target, metadata)
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
+
+def test_metadata_without_a_line_break_reads_back(tmp_path):
+    target = tmp_path / "seq.csv"
+    WRITERS["sequence"](target, {"note": "a b\tc", "k": 3})
+    assert read_sequence(target).sample_period == 0.5
+    assert target.read_text().splitlines()[1:3] == ["# note=a b\tc", "# k=3"]
 
 
 class TestGoldenFixtures:

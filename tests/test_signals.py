@@ -105,6 +105,10 @@ class TestSpecValidation:
             ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=([1j],))),
             ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=1.0)),
             ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=object())),
+            # each character of a str or bytes is not one amplitude
+            ("amplitudes", dict(kind="multitone", harmonics=(1.0, 2.0), amplitudes="12")),
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes="1")),
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=b"1")),
             ("band", dict(kind="bandlimited-random", band=[3])),
         ],
     )
