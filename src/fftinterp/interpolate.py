@@ -26,6 +26,19 @@ transforms run in place in the twisted input, which is dead once it is
 transformed, so a call holds two N-point arrays: that buffer and the
 spectrum.
 
+The polyphase fill is fast only where pocketfft's N-point transforms are.
+When N's largest prime factor p has p*p > N, pocketfft may run each of
+them as a Bluestein transform, which builds its chirp on every call.  For
+exactly those N, ``fft_upsample`` takes a second fill instead: phase r is
+the linear convolution of the samples with the Dirichlet kernel at lags
+M*j + r, the oracle's own lag table, computed by FFT at the smallest
+7-smooth length L >= 2N-1.  That is 2M-1 transforms of length L, M
+forward in one batch and M-1 inverse in one batch, and (M-1)*(2N-1)
+kernel values per call, with nothing kept but L and the rule's answer for
+the last N.  A call holds an (M, L) complex128 batch, about 2*M*N values,
+and the real lag table.  Every other N, powers of two and 7-smooth
+lengths included, stays on the polyphase fill.
+
 The three methods of ``upsample`` write the same refined grid, and
 ``_refine`` is the one place that knows its layout: output m = M*q + r is
 entry (q, r) of an (N, M) array, phase 0 (m = M*q) is the input copied
@@ -248,8 +261,69 @@ def _polyphase(samples, grid) -> None:
         np.multiply(work, untwist, out=grid[:, r])
 
 
+@lru_cache(maxsize=1)
+def _bluestein_length(n: int) -> bool:
+    """Whether N's largest prime factor p has p*p > N: pocketfft's test for Bluestein.
+
+    Trial division leaves ``rest`` = 1 or the largest prime factor; a
+    factor divided out while d*d <= rest has d*d <= N.
+    """
+    rest, d = n, 2
+    while d * d <= rest:
+        if rest % d:
+            d += 1
+        else:
+            rest //= d
+    return rest * rest > n
+
+
+@lru_cache(maxsize=1)
+def _smooth_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c * 7**d >= n."""
+    best = 1 << (n - 1).bit_length()
+    odd7 = 1
+    while odd7 < best:
+        odd5 = odd7
+        while odd5 < best:
+            odd = odd5
+            while odd < best:
+                best = min(best, odd << (-(-n // odd) - 1).bit_length())
+                odd *= 3
+            odd5 *= 5
+        odd7 *= 7
+    return best
+
+
+def _lag_rows(kernel, n: int, factor: int) -> np.ndarray:
+    """``kernel`` at lags M*j + r, j = -(N-1)..N-1, as one contiguous row per phase r = 1..M-1."""
+    return kernel(factor * np.arange(1 - n, n) + np.arange(1, factor)[:, None])
+
+
+def _convolution(samples, grid) -> None:
+    """Phases 1..M-1 of ``fft_upsample`` as linear convolutions with the Dirichlet lag table.
+
+    Row r of ``_lag_rows`` convolved with the samples is phase r at
+    indices N-1..2N-2.  All rows and the samples are transformed in one
+    batch at a 7-smooth length L >= 2N-1, where the circular wrap misses
+    those indices, then multiplied and inverted in one batch.
+    """
+    n, factor = grid.shape
+    batch = np.zeros((factor, _smooth_length(2 * n - 1)), dtype=np.complex128)
+    batch[0, :n] = samples
+    batch[1:, : 2 * n - 1] = _lag_rows(partial(_dirichlet_lags, n, factor), n, factor)
+    # With 1/sqrt(L) on each forward transform and none on the inverse, no
+    # value exceeds 2N times the largest input part: the forward sums by
+    # sum|x|, the inverse's by sum|X*T|/L <= ||x||*||t|| <= 2N*max part
+    # (Parseval, |t| <= 1), which ``_fitting``'s scale, above 2N, covers.
+    np.fft.fft(batch, axis=-1, norm="ortho", out=batch)
+    phases = batch[1:]
+    phases *= batch[0]
+    np.fft.ifft(phases, axis=-1, norm="forward", out=phases)
+    grid[:, 1:] = phases[:, n - 1 : 2 * n - 1].T
+
+
 def fft_upsample(x, factor) -> Sequence:
-    """Upsample by an integer factor with the polyphase FFT kernel.
+    """Upsample by an integer factor with the polyphase or the convolution FFT kernel.
 
     Computes the paper's interpolant, the Dirichlet-kernel sum
 
@@ -280,20 +354,28 @@ def fft_upsample(x, factor) -> Sequence:
     reaches exp, and each table is the outer product of two
     ``_half_turns`` tables of about sqrt(N) entries, so the error stays at
     a few ulps for any N.
+
+    When N's largest prime factor p has p*p > N, where pocketfft may run
+    every N-point transform as Bluestein's, the phases come instead from
+    the same sum read as M-1 linear convolutions of x with the kernel at
+    lags M*j + r (``_convolution``, module docstring): 2M-1 transforms of
+    a 7-smooth length L >= 2N-1 and an (M, L) batch, with no phase table
+    kept.  The kernel values are ``dirichlet_upsample_direct``'s, exact to
+    a few ulps for any N, so this error stays at a few ulps too.  Which
+    fill runs depends only on N.
     """
     seq, m_factor = _inputs(x, factor)
-    return _refine(seq, m_factor, _polyphase)
+    return _refine(seq, m_factor, _convolution if _bluestein_length(len(seq)) else _polyphase)
 
 
 def _lag_sum(kernel, samples, grid) -> None:
     """Write sum_k samples[k] * kernel(m - M*k) into phases 1..M-1 of ``grid``.
 
     ``kernel`` maps integer lags d = m - M*k to kernel values.  It is
-    evaluated once at each of the (2N-1)*M lags from -(N-1)*M up to
-    M*N-1, not once per (m, k) pair, and must be exactly 0 at the nonzero
-    multiples of M, so the phase-0 copy is the exact sum there.  As
-    (2N-1, M) rows of M consecutive lags, column r of that table holds the
-    kernel at lags M*j + r, and output M*q + r is its linear convolution
+    evaluated once at each of the (M-1)*(2N-1) lags M*j + r of phases
+    r = 1..M-1 (``_lag_rows``), not once per (m, k) pair, and must be
+    exactly 0 at the nonzero multiples of M, so the phase-0 copy is the
+    exact sum there.  Output M*q + r is the linear convolution of row r
     with the samples at q, so each phase is one ``np.convolve``, which
     numpy computes as a direct sum with no transform.  Its summation order
     is numpy's, so the sums agree with the entry-by-entry kernel matrix
@@ -305,11 +387,9 @@ def _lag_sum(kernel, samples, grid) -> None:
     ``kernels._fitting`` to redo them on scaled-down samples.  The kernel
     is at most 1 in magnitude, so no scaled partial sum can overflow.
     """
-    n, factor = grid.shape
-    table = kernel(np.arange(-(n - 1) * factor, factor * n)).reshape(2 * n - 1, factor)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(1, factor):
-            grid[:, r] = np.convolve(table[:, r], samples, mode="valid")
+        for r, row in enumerate(_lag_rows(kernel, *grid.shape), start=1):
+            grid[:, r] = np.convolve(row, samples, mode="valid")
     if not np.isfinite(grid).all():
         raise FloatingPointError("overflow in the lag sums")
 
@@ -319,9 +399,9 @@ def dirichlet_upsample_direct(x, factor) -> Sequence:
 
     Computes x3[m] = sum_k x[k] * dirichlet(N, 2*pi*(m - M*k)/(M*N)) term by
     term, with no transform.  The kernel depends only on the lag
-    d = m - M*k, so it is evaluated (2N-1)*M times, in its integer-lag form
-    sin(pi*d/M) / (N*sin(pi*d/(M*N))): the numerator from a table of M
-    sines and a sign, the denominator's argument reflected to at most
+    d = m - M*k, so it is evaluated (M-1)*(2N-1) times, in its integer-lag
+    form sin(pi*d/M) / (N*sin(pi*d/(M*N))): the numerator from a table of
+    M sines and a sign, the denominator's argument reflected to at most
     pi/2, so the error stays at a few ulps for any N.  Phase 0 is the
     input (module docstring), and the sum takes N*(M-1)*N multiply-adds
     over the other phases, one ``np.convolve`` per phase.  Its kernel
@@ -358,7 +438,7 @@ def upsample(x, factor, method: str = "fft") -> Sequence:
     period, and the output carries Ts/M (None stays None).  The ``sinc``
     route is ``sinc_interp`` on the refined grid, as a direct O(N*MN) sum:
     its kernel sinc(pi*d/M) depends only on the lag d = m - M*k, where Ts
-    cancels, so it is evaluated (2N-1)*M times, with sin(pi*d/M) taken
+    cancels, so it is evaluated (M-1)*(2N-1) times, with sin(pi*d/M) taken
     from a table of M sines and a sign.  Phase 0 is the input (module
     docstring), and the sum takes N*(M-1)*N multiply-adds over the other
     phases, one ``np.convolve`` per phase.  For Ts = 1 and M a power of

@@ -13,7 +13,8 @@ Floats are serialized with shortest round-trip formatting (``repr``), so
 writing and re-reading reproduces every sample bit for bit; the reader
 also accepts any other spelling ``int`` and ``float`` accept.  Tables share
 the serialization and metadata lines, and write an empty field for the
--inf decibel sentinel.
+-inf decibel sentinel; a table's text cells and column names may not hold
+``,`` or a line break, which would split their field or row.
 
 Sequence rows are handled a block of rows at a time, so that per-row work
 runs inside a few C-level calls and the whole text is never held at once:
@@ -66,6 +67,11 @@ def _format_cell(value) -> str:
     if math.isinf(number) and number < 0:
         return ""
     return _format_float(number)
+
+
+def _breaks_csv(value) -> bool:
+    """Whether ``value`` is a str that would split its CSV field or line."""
+    return isinstance(value, str) and any(mark in value for mark in ",\n\r")
 
 
 def _write_text(sink, chunks):
@@ -245,13 +251,23 @@ def write_table(rows, column_names, sink, metadata=None):
 
     Optional metadata is emitted as leading ``# key=value`` lines; a key or
     value holding a line break is one ValueError naming the key, and
-    nothing is written.  A -inf cell (the exact-zero decibel sentinel)
-    serializes as an empty field.
+    nothing is written.  So is a str column name or cell holding ``,``,
+    ``\n`` or ``\r``, which would split its field or row: the error names
+    the column, and for a cell its row, counted from 0.  A -inf cell (the
+    exact-zero decibel sentinel) serializes as an empty field.
     """
     lines = list(_metadata_lines(metadata).values())
+    for name in column_names:
+        if _breaks_csv(name):
+            raise ValueError(f"column name {name!r} holds a comma or a line break")
     lines.append(",".join(column_names))
-    for row in rows:
+    for number, row in enumerate(rows):
         if len(row) != len(column_names):
             raise ValueError(f"row width {len(row)} does not match {len(column_names)} columns")
+        for name, value in zip(column_names, row):
+            if _breaks_csv(value):
+                raise ValueError(
+                    f"row {number}, column {name!r}: {value!r} holds a comma or a line break"
+                )
         lines.append(",".join(_format_cell(value) for value in row))
     _write_text(sink, ["\n".join(lines) + "\n"])

@@ -118,8 +118,8 @@ class SignalSpec:
             amplitudes = tuple(self.amplitudes)
         except TypeError:
             amplitudes = None
-        # a str or bytes is iterable, but its characters are not amplitudes
-        if amplitudes is None or isinstance(self.amplitudes, (str, bytes)):
+        # text and raw bytes are iterable, but their characters are not amplitudes
+        if amplitudes is None or isinstance(self.amplitudes, (str, bytes, bytearray, memoryview)):
             raise ValueError(f"amplitudes must be a sequence of numbers, got {self.amplitudes!r}")
         if amplitudes:
             amplitudes = tuple(_finite_vector(amplitudes, "amplitudes").tolist())

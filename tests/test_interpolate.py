@@ -216,37 +216,113 @@ class TestPolyphaseTableCache:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
 
+    # every length here has a largest prime factor p with p*p <= N, so it
+    # fills through _polyphase (TestConvolutionFill has the other lengths)
     def test_only_the_last_size_is_kept(self):
         fft_upsample(random_complex(12, 1), 3)
-        fft_upsample(random_complex(7, 2), 2)
+        fft_upsample(random_complex(8, 2), 2)
         assert interpolate._polyphase_tables.cache_info().currsize == 1
 
     def test_repeat_eviction_and_clear_match_first_call_bit_for_bit(self):
-        x = random_complex(33, 4)
+        x = random_complex(36, 4)
         interpolate._polyphase_tables.cache_clear()
         first = bits(fft_upsample(x, 4))
         hits = interpolate._polyphase_tables.cache_info().hits
         np.testing.assert_array_equal(bits(fft_upsample(x, 4)), first)
         assert interpolate._polyphase_tables.cache_info().hits == hits + 1
-        fft_upsample(random_complex(10, 5), 3)
+        fft_upsample(random_complex(12, 5), 3)
         np.testing.assert_array_equal(bits(fft_upsample(x, 4)), first)
         interpolate._polyphase_tables.cache_clear()
         np.testing.assert_array_equal(bits(fft_upsample(x, 4)), first)
 
     def test_threads_at_alternating_sizes_match_serial(self):
-        inputs = [(random_complex(96, 17), 4), (random_complex(65, 18), 3)]
-        expected = [bits(fft_upsample(x, factor)) for x, factor in inputs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(
-                    pool.map(lambda i: bits(fft_upsample(*inputs[i % 2])), range(64), timeout=60)
-                )
-        finally:
-            sys.setswitchinterval(interval)
-        for i, result in enumerate(results):
-            np.testing.assert_array_equal(result, expected[i % 2])
+        threads_match_serial([(random_complex(96, 17), 4), (random_complex(63, 18), 3)])
+
+
+def threads_match_serial(inputs):
+    # 64 calls on 8 threads, alternating between the two (x, factor) inputs
+    expected = [bits(fft_upsample(x, factor)) for x, factor in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(
+                pool.map(lambda i: bits(fft_upsample(*inputs[i % 2])), range(64), timeout=60)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    for i, result in enumerate(results):
+        np.testing.assert_array_equal(result, expected[i % 2])
+
+
+def largest_prime_factor(n):
+    return max((p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))),
+               default=1)
+
+
+def centered_tones(twice_h, amplitudes, count, period):
+    # sum of a * exp(j*pi*(2h*t mod 2P)/P) at t = 0..count-1, 2h*t reduced
+    # exactly in int64, so the truth carries no phase drift of its own
+    t = np.arange(count, dtype=np.int64)
+    return sum(a * np.exp(1j * np.pi * ((h2 * t) % (2 * period)) / period)
+               for h2, a in zip(twice_h, amplitudes))
+
+
+# lengths whose largest prime factor p has p*p > N: primes, 2*8209, 3*2731, 17*241
+ROUGH_LENGTHS = [7, 251, 1031, 4099, 2 * 8209, 3 * 2731, 17 * 241]
+
+
+class TestConvolutionFill:
+    """``fft_upsample`` fills the phases of lengths whose largest prime factor
+    p has p*p > N by FFT convolution with the Dirichlet lag table."""
+
+    def test_rule_is_the_largest_prime_factor_test(self):
+        for n in range(1, 400):
+            p = largest_prime_factor(n)
+            assert interpolate._bluestein_length(n) == (p * p > n), n
+
+    def test_smooth_length_is_the_least_7_smooth_length_at_least_n(self):
+        def smooth(k):
+            for p in (2, 3, 5, 7):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for n in [*range(1, 600), 32835, 65537]:
+            length = interpolate._smooth_length(n)
+            assert length >= n and smooth(length), n
+            assert not any(smooth(k) for k in range(n, length)), n
+
+    @pytest.mark.parametrize("n", [2**10, 2**13, 3 * 2**9, 3 * 2**12, 13 * 1024, 65536])
+    def test_smooth_and_square_bounded_lengths_fill_through_polyphase(self, n):
+        interpolate._polyphase_tables.cache_clear()
+        fft_upsample(random_complex(n, 1), 2)
+        assert interpolate._polyphase_tables.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n", ROUGH_LENGTHS)
+    def test_rough_lengths_fill_by_convolution(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(interpolate, "_convolution", lambda *a: calls.append(a))
+        interpolate._polyphase_tables.cache_clear()
+        fft_upsample(random_complex(n, 2), 3)
+        assert len(calls) == 1
+        assert interpolate._polyphase_tables.cache_info().misses == 0
+
+    @pytest.mark.parametrize("factor", [2, 3, 4, 7])
+    @pytest.mark.parametrize("n", ROUGH_LENGTHS)
+    def test_centered_tones_within_a_few_ulps_of_the_truth(self, n, factor):
+        # the fill shares the oracle's kernel table, so it is checked
+        # against the closed-form tones, not only against the oracle
+        twice_h = [2 * q - (n - 1) for q in (0, n // 3, n - 1)]
+        amplitudes = [1.0, 0.5 - 0.25j, 0.2j]
+        x = centered_tones([factor * h2 for h2 in twice_h], amplitudes, n, factor * n)
+        truth = centered_tones(twice_h, amplitudes, factor * n, factor * n)
+        out = fft_upsample(x, factor).samples
+        assert np.array_equal(bits(Sequence(out[::factor])), x.view(np.uint64))
+        assert np.abs(out - truth).max() <= 4e-15 * np.abs(amplitudes).sum()
+
+    def test_repeated_and_threaded_calls_are_bit_identical(self):
+        threads_match_serial([(random_complex(251, 19), 4), (random_complex(3 * 2731, 20), 3)])
 
 
 class TestFftUpsample:
@@ -469,7 +545,7 @@ def test_oracle_sums_within_a_few_ulps_of_extended_precision(route, n, factor):
     assert np.all(error <= 4 * np.finfo(np.float64).eps * scale)
 
 
-@pytest.mark.parametrize("n", [255, 256, 1023, 1024])
+@pytest.mark.parametrize("n", [251, 255, 256, 509, 1023, 1024, 1031])
 @pytest.mark.parametrize("factor", [2, 3, 4])
 def test_full_band_random_signal_matches_oracle(n, factor):
     # every harmonic the record can hold carries a seeded amplitude
@@ -709,6 +785,35 @@ class TestOverflow:
         fast = fft_upsample(x, factor).samples
         direct = dirichlet_upsample_direct(x, factor).samples
         assert np.max(np.abs(fast - direct)) <= 4e-15 * 1.7e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    @pytest.mark.parametrize("n", [7, 11, 251, 1031])
+    def test_convolution_fill_keeps_or_refuses_as_the_oracle_does(self, n, factor, seed):
+        # the largest part is 1.7e308: a result that fits is kept, and one
+        # that does not is refused with the oracle's message (both occur)
+        record = random_complex(n, seed)
+        x = record / np.max(np.abs(record.view(np.float64))) * 1.7e308
+        try:
+            direct = dirichlet_upsample_direct(x, factor).samples
+        except ValueError as refused:
+            with pytest.raises(ValueError) as excinfo:
+                fft_upsample(x, factor)
+            assert str(excinfo.value) == str(refused)
+        else:
+            fast = fft_upsample(x, factor).samples
+            assert np.max(np.abs(fast - direct)) <= 4e-15 * 1.7e308
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [7, 251, 1031])
+    def test_convolution_fill_keeps_a_constant_at_the_float64_limit(self, n):
+        # the forward sums reach N*sqrt(2)*1.7e308 and overflow; on the record
+        # over 2**k every value of the fill fits, and the odd-N interpolant
+        # of a constant is that constant
+        x = np.full(n, 1.7e308 + 1.7e308j)
+        out = fft_upsample(x, 3).samples
+        np.testing.assert_allclose(out, x[0], rtol=4e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pointwise_sinc_sum_keeps_a_value_whose_partial_sums_overflow(self):

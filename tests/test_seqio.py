@@ -423,6 +423,36 @@ class TestMetadataLineBreaks:
         assert old.read_text() == "kept\n"
 
 
+# a str cell or column name that would split its field or row, and the message
+TABLE_BREAKS = {
+    "comma-cell": (
+        [("a,b", 1), ("c", 2)], ("x", "y"), "row 0, column 'x': 'a,b' holds a comma"
+    ),
+    "lf-cell": ([("a", 1), ("c\nd", 2)], ("x", "y"), "row 1, column 'x': 'c\\nd' holds"),
+    "cr-cell": ([(1, "e\rf")], ("x", "y"), "row 0, column 'y': 'e\\rf' holds"),
+    "comma-name": ([(1, 2)], ("x", "y,z"), "column name 'y,z' holds a comma"),
+    "lf-name": ([(1, 2)], ("x\n", "y"), "column name 'x\\n' holds"),
+}
+
+
+@pytest.mark.parametrize("rows,names,message", TABLE_BREAKS.values(), ids=TABLE_BREAKS)
+class TestTableFieldBreaks:
+    def test_stream_sink_gets_nothing(self, rows, names, message):
+        sink = StringIO()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_table(rows, names, sink)
+        assert sink.getvalue() == ""
+
+    def test_path_sink_is_neither_created_nor_truncated(self, rows, names, message, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for target in (new, old):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_table(rows, names, target)
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
+
+
 def test_metadata_without_a_line_break_reads_back(tmp_path):
     target = tmp_path / "seq.csv"
     WRITERS["sequence"](target, {"note": "a b\tc", "k": 3})

@@ -110,6 +110,9 @@ class TestSpecValidation:
             ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes="1")),
             ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=b"1")),
             ("band", dict(kind="bandlimited-random", band=[3])),
+            # nor of a bytearray or a memoryview
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=bytearray(b"1"))),
+            ("amplitudes", dict(kind="tone", harmonics=(1.0,), amplitudes=memoryview(b"1"))),
         ],
     )
     def test_field_of_the_wrong_shape_is_one_value_error_naming_it(self, field, fields):
